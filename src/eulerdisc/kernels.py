@@ -1,42 +1,14 @@
-"""Batched exact integer linear algebra for lattice geometry.
+"""Exact integer determinants for lattice geometry.
 
-Two interchangeable backends compute determinants and hyperplane normals
-of small integer matrices: numba-compiled int64 kernels for speed, and a
-pure Python path with arbitrary precision.  Set EULERDISC_NO_NUMBA=1 to
-force the pure path.  Batches whose entries could overflow int64 (checked
-with a Hadamard-style bound) are routed to the pure path automatically.
+`det_int` works on Python integers, so entries and intermediate minors
+never overflow.  The lattice code calls it for the volume and the
+cofactor facet normals of the first simplex of each placing
+triangulation.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
-import numpy as np
-
-__all__ = [
-    "USING_NUMBA",
-    "det_int",
-    "batch_det",
-    "batch_normals",
-    "normal_vector",
-]
-
-_DISABLED = os.environ.get("EULERDISC_NO_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# Pure Python reference implementations (arbitrary precision)
+__all__ = ["det_int"]
 
 
 def det_int(rows) -> int:
@@ -64,187 +36,3 @@ def det_int(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _normal_py(points) -> list:
-    """Primitive normal of the hyperplane through d points in Z^d.
-
-    Components are the signed maximal minors of the (d-1) x d matrix of
-    differences (a generalized cross product).  Returns the zero vector
-    when the points do not span a hyperplane.
-    """
-    pts = [list(map(int, p)) for p in points]
-    d = len(pts[0])
-    if len(pts) != d:
-        raise ValueError("need exactly d points in dimension d")
-    diffs = [[pts[i][j] - pts[0][j] for j in range(d)] for i in range(1, d)]
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
-        normal.append((-1) ** j * det_int(minor))
-    g = math.gcd(*normal)
-    if g > 1:
-        normal = [x // g for x in normal]
-    return normal
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (int64)
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _batch_det64(mats):
-        out = np.empty(mats.shape[0], dtype=np.int64)
-        n = mats.shape[1]
-        for b in range(mats.shape[0]):
-            m = mats[b].copy()
-            sign = 1
-            prev = 1
-            det = 1
-            singular = False
-            for k in range(n - 1):
-                if m[k, k] == 0:
-                    found = False
-                    for i in range(k + 1, n):
-                        if m[i, k] != 0:
-                            for j in range(n):
-                                tmp = m[k, j]
-                                m[k, j] = m[i, j]
-                                m[i, j] = tmp
-                            sign = -sign
-                            found = True
-                            break
-                    if not found:
-                        singular = True
-                        break
-                for i in range(k + 1, n):
-                    for j in range(k + 1, n):
-                        m[i, j] = (m[k, k] * m[i, j] - m[i, k] * m[k, j]) // prev
-                    m[i, k] = 0
-                prev = m[k, k]
-            if singular:
-                out[b] = 0
-            else:
-                det = sign * m[n - 1, n - 1]
-                out[b] = det
-        return out
-
-    @njit(cache=True)
-    def _batch_normals64(batches):
-        nb, d, _ = batches.shape
-        out = np.zeros((nb, d), dtype=np.int64)
-        for b in range(nb):
-            diffs = np.empty((d - 1, d), dtype=np.int64)
-            for i in range(1, d):
-                for j in range(d):
-                    diffs[i - 1, j] = batches[b, i, j] - batches[b, 0, j]
-            for j in range(d):
-                minor = np.empty((d - 1, d - 1), dtype=np.int64)
-                cc = 0
-                for c in range(d):
-                    if c == j:
-                        continue
-                    for i in range(d - 1):
-                        minor[i, cc] = diffs[i, c]
-                    cc += 1
-                # inline Bareiss on the minor
-                n = d - 1
-                sign = 1
-                prev = 1
-                val = 1
-                singular = False
-                if n == 0:
-                    val = 1
-                else:
-                    for k in range(n - 1):
-                        if minor[k, k] == 0:
-                            found = False
-                            for i in range(k + 1, n):
-                                if minor[i, k] != 0:
-                                    for jj in range(n):
-                                        tmp = minor[k, jj]
-                                        minor[k, jj] = minor[i, jj]
-                                        minor[i, jj] = tmp
-                                    sign = -sign
-                                    found = True
-                                    break
-                            if not found:
-                                singular = True
-                                break
-                        for i in range(k + 1, n):
-                            for jj in range(k + 1, n):
-                                minor[i, jj] = (
-                                    minor[k, k] * minor[i, jj]
-                                    - minor[i, k] * minor[k, jj]
-                                ) // prev
-                            minor[i, k] = 0
-                        prev = minor[k, k]
-                    val = 0 if singular else sign * minor[n - 1, n - 1]
-                if j % 2 == 0:
-                    out[b, j] = val
-                else:
-                    out[b, j] = -val
-            # reduce to a primitive vector
-            g = 0
-            for j in range(d):
-                x = out[b, j]
-                if x < 0:
-                    x = -x
-                if g == 0:
-                    g = x
-                elif x != 0:
-                    while x:
-                        g, x = x, g % x
-            if g > 1:
-                for j in range(d):
-                    out[b, j] //= g
-        return out
-
-
-def _hadamard_safe(max_abs: int, n: int) -> bool:
-    """True when an n x n Bareiss run on entries <= max_abs fits in int64."""
-    if max_abs == 0:
-        return True
-    bound = (math.isqrt(n) + 1) ** n * max_abs**n
-    return bound < 2**62
-
-
-# ---------------------------------------------------------------------------
-# Public batched API
-
-
-def batch_det(mats) -> list:
-    """Determinants of a batch of equally sized square integer matrices."""
-    mats = [tuple(tuple(int(x) for x in row) for row in m) for m in mats]
-    if not mats:
-        return []
-    n = len(mats[0])
-    max_abs = max((abs(x) for m in mats for row in m for x in row), default=0)
-    if USING_NUMBA and n >= 2 and _hadamard_safe(max_abs, n):
-        arr = np.array(mats, dtype=np.int64)
-        return [int(x) for x in _batch_det64(arr)]
-    return [det_int(m) for m in mats]
-
-
-def batch_normals(point_sets) -> list:
-    """Primitive hyperplane normals for batches of d points in Z^d.
-
-    Zero vectors mark degenerate (non-spanning) point sets.
-    """
-    point_sets = [tuple(tuple(int(x) for x in p) for p in ps) for ps in point_sets]
-    if not point_sets:
-        return []
-    d = len(point_sets[0][0])
-    max_abs = max(
-        (abs(x) for ps in point_sets for p in ps for x in p), default=0
-    )
-    if USING_NUMBA and d >= 3 and _hadamard_safe(2 * max_abs, d - 1):
-        arr = np.array(point_sets, dtype=np.int64)
-        return [tuple(int(x) for x in row) for row in _batch_normals64(arr)]
-    return [tuple(_normal_py(ps)) for ps in point_sets]
-
-
-def normal_vector(points) -> tuple:
-    """Primitive normal for a single set of d points in Z^d."""
-    return batch_normals([points])[0]

@@ -1,20 +1,20 @@
 """Integer point configurations and exact lattice polytope geometry.
 
 Everything here is exact: volumes are normalized lattice volumes (a basis
-simplex of the reference lattice has volume 1), faces are found by brute
-force over supporting hyperplanes, and coordinates are reduced with
-integer row operations only.
+simplex of the reference lattice has volume 1), coordinates are reduced
+with integer row operations only, and one placing triangulation gives
+the volume (the sum of its simplex volumes) and the facets (its boundary
+simplices grouped by supporting hyperplane).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+import math
 from typing import Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, SizeLimitError
 from .graphs import BipartiteSubgraph, PatternGraph, condition_star, contract, induced, is_connected
-from .kernels import batch_normals, det_int
+from .kernels import det_int
 
 __all__ = [
     "PointConfiguration",
@@ -186,123 +186,145 @@ def lattice_normalize(c: PointConfiguration):
 
 
 # ---------------------------------------------------------------------------
-# Volume
+# Placing triangulation: volume and facets
 
 
-def _kernel_basis(normal):
-    """Basis of the saturated lattice Z^d orthogonal to a primitive vector.
+def _normal(points) -> tuple:
+    """Primitive normal of the hyperplane through d points in Z^d.
 
-    Column operations reduce the normal to a single nonzero entry; the
-    remaining columns of the accumulated unimodular matrix span the kernel.
+    Components are the signed maximal minors of the (d-1) x d matrix of
+    differences (a generalized cross product).  Returns the zero vector
+    when the points do not span a hyperplane.
     """
-    d = len(normal)
-    n = list(normal)
-    U = [[1 if i == j else 0 for j in range(d)] for i in range(d)]  # columns
-    # Reduce n against itself with gcd column operations.
-    nz = [j for j in range(d) if n[j]]
-    while len(nz) > 1:
-        nz.sort(key=lambda j: abs(n[j]))
-        j0 = nz[0]
-        for j in nz[1:]:
-            q = n[j] // n[j0]
-            n[j] -= q * n[j0]
-            for i in range(d):
-                U[i][j] -= q * U[i][j0]
-        nz = [j for j in range(d) if n[j]]
-    pivot = nz[0]
-    return [tuple(U[i][j] for i in range(d)) for j in range(d) if j != pivot]
+    pts = [list(map(int, p)) for p in points]
+    d = len(pts[0])
+    if len(pts) != d:
+        raise ValueError("need exactly d points in dimension d")
+    diffs = [[pts[i][j] - pts[0][j] for j in range(d)] for i in range(1, d)]
+    normal = []
+    for j in range(d):
+        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
+        normal.append((-1) ** j * det_int(minor))
+    g = math.gcd(*normal)
+    if g > 1:
+        normal = [x // g for x in normal]
+    return tuple(normal)
 
 
-def _project_to_kernel(normal, vectors):
-    """Coordinates of lattice vectors orthogonal to `normal` in the
-    saturated kernel lattice."""
-    kb = _kernel_basis(normal)
-    basis, pivots = _row_reduce(kb)
-    out = []
-    for v in vectors:
-        coords = _solve_lattice(basis, pivots, v)
-        assert coords is not None
-        out.append(tuple(coords))
-    return out
+def _placing(pts, d):
+    """Placing (beneath-beyond) triangulation of lattice points spanning Z^d.
+
+    The distinct points are sorted; a greedily chosen affinely independent
+    d+1 of them form the first simplex, and every other point in turn is
+    coned over the boundary simplices it lies strictly beyond (points in
+    the current hull see none and are skipped).  Returns (volume, boundary):
+    the normalized volume, which is the sum of |det| over the simplices,
+    and a dict mapping each boundary (d-1)-simplex, a sorted tuple of
+    indices into the sorted distinct points, to (normal, offset, area).
+    The normal is primitive and outward, so that normal . p <= offset on
+    the hull; the area is the simplex's normalized volume in the lattice
+    of its hyperplane.
+
+    Only the first simplex needs cofactor normals and a determinant.  A
+    new boundary simplex takes its normal from the two boundary simplices
+    at its horizon ridge, and a simplex has volume area x lattice height
+    over any of its facets.
+    """
+    if d == 0:
+        return 1, {}
+    unique = sorted(set(pts))
+    start = [0]
+    for i in range(1, len(unique)):
+        if len(start) == d + 1:
+            break
+        if _rank_of([unique[j] for j in start] + [unique[i]]) == len(start):
+            start.append(i)
+    if len(start) < d + 1:
+        raise InputError("configuration is not full-dimensional")
+    # (d+1) times the centroid of the first simplex: integral, and interior
+    # to every hull the placing grows from it.
+    inner = [sum(unique[i][k] for i in start) for k in range(d)]
+
+    def oriented(simplex):
+        normal = _normal([unique[i] for i in simplex])
+        offset = sum(a * b for a, b in zip(normal, unique[simplex[0]]))
+        if sum(a * b for a, b in zip(normal, inner)) > (d + 1) * offset:
+            return tuple(-x for x in normal), -offset
+        return normal, offset
+
+    boundary = {}
+    owners = {}  # ridge -> the two boundary simplices that contain it
+
+    def add(f, side):
+        boundary[f] = side
+        for k in range(d):
+            owners.setdefault(f[:k] + f[k + 1:], []).append(f)
+
+    apex = unique[start[0]]
+    volume = abs(det_int([[a - b for a, b in zip(unique[i], apex)] for i in start[1:]]))
+    for k, v in enumerate(start):
+        f = tuple(start[:k] + start[k + 1:])
+        normal, offset = oriented(f)
+        lift = offset - sum(a * b for a, b in zip(normal, unique[v]))
+        add(f, (normal, offset, volume // lift))
+    placed = set(start)
+    for i, p in enumerate(unique):
+        if i in placed:
+            continue
+        height = {
+            f: sum(a * b for a, b in zip(normal, p)) - offset
+            for f, (normal, offset, _) in boundary.items()
+        }
+        visible = [f for f, h in height.items() if h > 0]
+        cone = []
+        for f in visible:
+            simplex = boundary[f][2] * height[f]
+            volume += simplex
+            for k in range(d):
+                ridge = f[:k] + f[k + 1:]
+                (other,) = (g for g in owners[ridge] if g != f)
+                if height[other] > 0:
+                    continue
+                # A horizon ridge: the new facet's hyperplane is the one of
+                # the pencil through the ridge that passes through p.  The
+                # combination is nonnegative in two outward normals, so it
+                # is outward too.
+                a, b = height[f], -height[other]
+                (n1, c1, _), (n2, c2, _) = boundary[other], boundary[f]
+                normal = [a * x + b * y for x, y in zip(n1, n2)]
+                g = math.gcd(*normal)
+                normal = tuple(x // g for x in normal)
+                offset = (a * c1 + b * c2) // g
+                # f[k] is the vertex of the new simplex opposite the new facet.
+                lift = offset - sum(x * y for x, y in zip(normal, unique[f[k]]))
+                cone.append((tuple(sorted(ridge + (i,))), (normal, offset, simplex // lift)))
+        for f in visible:
+            del boundary[f]
+            for k in range(d):
+                owners[f[:k] + f[k + 1:]].remove(f)
+        for f, side in cone:
+            add(f, side)
+    return volume, boundary
 
 
 def _hull_facets(pts, d):
-    """Supporting hyperplanes of a full-dimensional hull.
-
-    Returns a list of (normal, offset, member index tuple) with the normal
-    primitive and oriented so that normal . p <= offset for all points.
-    """
-    unique = sorted(set(pts))
-    if len(unique) < d + 1:
-        raise InputError("configuration is not full-dimensional")
-    cand_sets = list(combinations(unique, d))
-    normals = batch_normals(cand_sets)
-    seen = {}
-    for ps, nrm in zip(cand_sets, normals):
-        if not any(nrm):
-            continue
-        offset = sum(a * b for a, b in zip(nrm, ps[0]))
-        key = (nrm, offset)
-        keyn = (tuple(-x for x in nrm), -offset)
-        if key in seen or keyn in seen:
-            continue
-        lo = hi = False
-        for p in unique:
-            s = sum(a * b for a, b in zip(nrm, p))
-            if s < offset:
-                lo = True
-            elif s > offset:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            seen[key] = None
-            continue
-        if hi:
-            nrm = tuple(-x for x in nrm)
-            offset = -offset
-        members = tuple(
+    """Facets of a full-dimensional hull, each as the tuple of indices of
+    the points of `pts` on its supporting hyperplane."""
+    _, boundary = _placing(pts, d)
+    return [
+        tuple(
             i
             for i, p in enumerate(pts)
-            if sum(a * b for a, b in zip(nrm, p)) == offset
+            if sum(a * b for a, b in zip(normal, p)) == offset
         )
-        seen[(nrm, offset)] = members
-    return [(n, c, m) for (n, c), m in seen.items() if m is not None]
-
-
-_VOL_CACHE = {}
-
-
-def _nvol_fulldim(pts: tuple, d: int) -> int:
-    """Normalized volume of a full-dimensional hull of lattice points in Z^d."""
-    if d == 0:
-        return 1
-    if d == 1:
-        xs = [p[0] for p in pts]
-        return max(xs) - min(xs)
-    key = (d, frozenset(pts))
-    cached = _VOL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base = min(pts)
-    total = 0
-    for normal, offset, members in _hull_facets(pts, d):
-        height = offset - sum(a * b for a, b in zip(normal, base))
-        if height == 0:
-            continue
-        fpts = [pts[i] for i in members]
-        origin = fpts[0]
-        rel = [tuple(a - b for a, b in zip(p, origin)) for p in fpts]
-        sub = _project_to_kernel(normal, rel)
-        total += height * _nvol_fulldim(tuple(sub), d - 1)
-    _VOL_CACHE[key] = total
-    return total
+        for normal, offset in dict.fromkeys(side[:2] for side in boundary.values())
+    ]
 
 
 def normalized_volume(c: PointConfiguration) -> int:
     """Lattice volume of the hull, measured in its own difference lattice."""
     d, pts = lattice_normalize(c)
-    return _nvol_fulldim(tuple(pts), d)
+    return _placing(pts, d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +344,7 @@ def facets(c: PointConfiguration, max_points=None):
     """Facet supports as tuples of point indices, in a deterministic order."""
     d, pts = lattice_normalize(c)
     _check_desk_scale(d, len(set(pts)), max_points)
-    return sorted(members for _, _, members in _hull_facets(tuple(pts), d))
+    return sorted(_hull_facets(pts, d))
 
 
 def _check_desk_scale(d, npts, max_points=None):
@@ -342,8 +364,7 @@ def f_vector(c: PointConfiguration, max_points=None) -> Tuple[int, ...]:
     """
     d, pts = lattice_normalize(c)
     _check_desk_scale(d, len(set(pts)), max_points)
-    pts = tuple(pts)
-    facet_sets = [frozenset(m) for _, _, m in _hull_facets(pts, d)]
+    facet_sets = [frozenset(m) for m in _hull_facets(pts, d)]
     faces = set(facet_sets)
     frontier = set(facet_sets)
     while frontier:
@@ -372,6 +393,8 @@ def subdiagram_volume(g: PatternGraph, h: BipartiteSubgraph) -> int:
     Computed as vol(Conv({0} u A')) - vol(Conv(A')) where A' is the
     configuration after contracting h, with both volumes measured in the
     lattice generated by A'; a lower-dimensional Conv(A') contributes 0.
+    The difference is the cone from 0 over the boundary simplices of
+    Conv(A') that 0 lies beyond, the step that would place 0 last.
     """
     if not is_connected(h):
         raise HypothesisError("subgraph must be connected")
@@ -390,10 +413,10 @@ def subdiagram_volume(g: PatternGraph, h: BipartiteSubgraph) -> int:
     conf = contracted_config(g, h)
     with_origin = PointConfiguration(((0,) * conf.ambient_dim,) + conf.points)
     d, pts0 = lattice_normalize(with_origin)
-    vol0 = _nvol_fulldim(tuple(pts0), d)
     rest = pts0[1:]
     if not rest or _rank_of(rest) < d:
-        vol1 = 0
-    else:
-        vol1 = _nvol_fulldim(tuple(rest), d)
-    return vol0 - vol1
+        return _placing(pts0, d)[0]
+    # lattice_normalize put the origin at pts0[0] = 0, so its height over
+    # a boundary simplex is -offset.
+    _, boundary = _placing(rest, d)
+    return sum(-offset * area for _, offset, area in boundary.values() if offset < 0)

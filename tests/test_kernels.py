@@ -1,20 +1,16 @@
-"""Tests for the batched integer linear algebra kernels.
+"""Tests for the exact integer determinant and the lattice cofactor normal.
 
-The numba and pure Python paths must agree; numpy determinants (rounded)
-serve as an independent oracle on small random matrices.
+numpy determinants (rounded) serve as an independent oracle on small
+random matrices.
 """
 
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from eulerdisc import kernels
+from eulerdisc.lattice import _normal
 
 
 def rand_mat(rng, n, lo=-9, hi=9):
@@ -53,22 +49,14 @@ class TestDetInt:
 
 
 class TestBatch:
-    def test_batch_det_matches_scalar(self):
-        rng = random.Random(103)
-        mats = [rand_mat(rng, 5) for _ in range(40)]
-        assert kernels.batch_det(mats) == [kernels.det_int(m) for m in mats]
-
-    def test_batch_det_overflow_guard(self):
-        big = 10**12
-        mats = [[[big, 1], [1, big]], [[big, 0], [0, big]]]
-        assert kernels.batch_det(mats) == [big * big - 1, big * big]
+    """Cofactor normals of d points in Z^d (`lattice._normal`)."""
 
     def test_normals_orthogonal_and_primitive(self):
         rng = random.Random(104)
         for d in (2, 3, 4, 5):
             for _ in range(20):
                 pts = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d)]
-                n = kernels.normal_vector(pts)
+                n = _normal(pts)
                 if not any(n):
                     continue  # degenerate sample
                 for p in pts[1:]:
@@ -78,45 +66,9 @@ class TestBatch:
 
     def test_normals_degenerate_zero(self):
         pts = [(0, 0, 0), (1, 1, 1), (2, 2, 2)]
-        assert kernels.normal_vector(pts) == (0, 0, 0)
+        assert _normal(pts) == (0, 0, 0)
 
     def test_known_normal(self):
         # plane x + y + z = 1 through the unit triangle
-        n = kernels.normal_vector([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        n = _normal([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert n in ((1, 1, 1), (-1, -1, -1))
-
-
-class TestBackendParity:
-    def test_env_flag_disables_numba(self):
-        # The child must import the same eulerdisc as this process, so the
-        # directory holding the package goes first on its PYTHONPATH.
-        pkg_root = str(Path(kernels.__file__).parents[1])
-        env = dict(os.environ, EULERDISC_NO_NUMBA="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p
-        )
-        code = (
-            "import eulerdisc.kernels as k; print(k._DISABLED); print(k.USING_NUMBA)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        disabled, using_numba = out.stdout.split()
-        assert disabled == "True"
-        assert using_numba == "False"
-
-    def test_fallback_agrees_with_active_backend(self):
-        rng = random.Random(105)
-        mats = [rand_mat(rng, 4) for _ in range(30)]
-        point_sets = [
-            [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(4)]
-            for _ in range(30)
-        ]
-        dets_active = kernels.batch_det(mats)
-        normals_active = kernels.batch_normals(point_sets)
-        assert dets_active == [kernels.det_int(m) for m in mats]
-        assert normals_active == [tuple(kernels._normal_py(ps)) for ps in point_sets]

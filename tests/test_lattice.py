@@ -1,14 +1,18 @@
 """Tests for lattice point configurations, volumes and faces.
 
 Volume oracles: 2-d shoelace area on an independently computed convex
-hull, invariance under unimodular maps, and additivity across a splitting
-hyperplane.
+hull, invariance under unimodular maps, additivity across a splitting
+hyperplane, and Postnikov's spanning-tree count for bipartite edge
+polytopes.  Face oracles: facet ranks and the Euler relation.
 """
 
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, InputError, SizeLimitError
 from eulerdisc.graphs import PatternGraph, induced, is_connected
@@ -291,3 +295,110 @@ class TestSubdiagramVolume:
         assert c.ambient_dim == 3  # survivors 0, 3, 4
         assert c.labels == ("03", "04", "13", "24")
         assert c.points == ((1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Property-based oracles (deterministic examples, no example database)
+
+oracle_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def connected_patterns(draw):
+    """Connected bipartite patterns up to 4 x 4: a random spanning tree of
+    K_{L,R} plus any further edges."""
+    L = draw(st.integers(1, 4))
+    R = draw(st.integers(1, 4))
+    tree = {(0, L)}
+    left_in, right_in = [0], [L]
+    for v in draw(st.permutations(list(range(1, L)) + list(range(L + 1, L + R)))):
+        if v < L:
+            tree.add((v, draw(st.sampled_from(right_in))))
+            left_in.append(v)
+        else:
+            tree.add((draw(st.sampled_from(left_in)), v))
+            right_in.append(v)
+    pairs = [(i, L + j) for i in range(L) for j in range(R)]
+    extra = draw(st.sets(st.sampled_from(pairs)))
+    return PatternGraph(L, R, sorted(tree | extra))
+
+
+def left_degree_vectors(g):
+    """Distinct left-degree vectors of the spanning trees of g."""
+    n = g.left_size + g.right_size
+    vectors = set()
+    for tree in combinations(sorted(g.edges), n - 1):
+        parent = list(range(n))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for i, j in tree:
+            ri, rj = root(i), root(j)
+            if ri == rj:
+                break
+            parent[ri] = rj
+        else:
+            vectors.add(tuple(sum(1 for e in tree if e[0] == i) for i in g.left))
+    return vectors
+
+
+def unit(d, i, scale=1):
+    return tuple(scale if j == i else 0 for j in range(d))
+
+
+@st.composite
+def full_dim_configs(draw):
+    """Configurations spanning Z^d, d = 2..5, with duplicate points, points
+    on the hyperplane x_d = 0, and optionally an interior origin."""
+    d = draw(st.integers(2, 5))
+    coord = st.integers(-2, 2)
+    pts = [(0,) * d] + [unit(d, i) for i in range(d)]
+    extra = draw(st.lists(st.tuples(*[coord] * d), max_size=5))
+    pts += extra
+    pts += [p[:-1] + (0,) for p in extra[: draw(st.integers(0, len(extra)))]]
+    if draw(st.booleans()):
+        pts += [unit(d, i, 2) for i in range(d)] + [(-1,) * d]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return d, draw(st.permutations(pts))
+
+
+class TestOracles:
+    @oracle_settings
+    @given(connected_patterns())
+    def test_postnikov_spanning_tree_count(self, g):
+        # Postnikov, IMRN 2009, section 12
+        assert normalized_volume(edge_config(g)) == len(left_degree_vectors(g))
+
+    @oracle_settings
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+        st.lists(st.integers(-3, 3), max_size=3),
+        st.data(),
+    )
+    def test_shoelace_with_degenerate_points(self, extra, on_axis, data):
+        pts = [(0, 0), (1, 0), (0, 1)] + extra + [(x, 0) for x in on_axis]
+        pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+        pts = data.draw(st.permutations(pts))
+        assert normalized_volume(PointConfiguration(pts)) == hull_area_doubled(pts)
+
+    @oracle_settings
+    @given(full_dim_configs())
+    def test_facets_f_vector_and_placing_order(self, config):
+        d, pts = config
+        c = PointConfiguration(pts)
+        assert lattice_normalize(c)[0] == d
+        fs = facets(c, max_points=32)
+        for members in fs:
+            diffs = [np.subtract(pts[i], pts[members[0]]) for i in members]
+            assert np.linalg.matrix_rank(np.array(diffs)) == d - 1
+        fv = f_vector(c, max_points=32)
+        assert fv[d - 1] == len(fs)
+        assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
+        # reversed coordinates sort the points differently, so the placing
+        # visits them in another order
+        rev = PointConfiguration([p[::-1] for p in pts])
+        assert normalized_volume(rev) == normalized_volume(c)
+        assert facets(rev, max_points=32) == fs
