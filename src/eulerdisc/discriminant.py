@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import HypothesisError, InputError
 from .graphs import PatternGraph, condition_star, induced, is_connected
 from .lattice import edge_config, lattice_normalize, normalized_volume, subdiagram_volume
-from .matroid import generic_euler_char, signed_euler_char
+from .matroid import _signed_euler_char, generic_euler_char
 from .symcore import (
     FactoredPolynomial,
     MultiPoly,
@@ -346,6 +346,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     if chi_star <= 0:
         raise HypothesisError("generic Euler characteristic is zero")
     factors = coprime_basis(minors)
+    memo = {}  # beta memo shared by every witness point of this call
     per_factor = []
     pairs = []
     for idx, delta in enumerate(factors):
@@ -356,7 +357,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
             w = witness_point(delta, avoid=others, seed=wseed)
             if w is None:
                 continue
-            chi_w = signed_euler_char(f.z_at(w))
+            chi_w = _signed_euler_char(f.z_at(w), memo)
             drops.append(chi_star - chi_w)
             if witness is None:
                 witness = w

@@ -3,15 +3,18 @@
 The signed Euler characteristic of a hyperplane arrangement complement is
 computed combinatorially as the Crapo beta invariant of the column matroid
 of the coefficient matrix prefixed with an identity block; no topology is
-involved.
+involved.  Beta runs by deletion-contraction on integer matrices in a
+canonical RREF, reduced fraction-free with each row primitive and its pivot
+positive: a fixed rescaling of the unique RREF, hence a sound memo key.
+The memo lives for one call (`euler_disc` shares one across its witness
+points); nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from math import gcd, lcm
 
 from .errors import HypothesisError, InputError
 
@@ -27,28 +30,45 @@ def _to_fraction_rows(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _rref(rows):
-    """Reduced row echelon form with zero rows dropped; canonical for the
-    row space, hence a sound memo key for the column matroid."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+def _primitive(row):
+    """The row divided by its content, its leading entry made positive."""
+    g = gcd(*row)
+    if g and row[_lead(row)] < 0:
+        g = -g
+    return tuple(x // g for x in row) if g not in (0, 1) else tuple(row)
+
+
+def _lead(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _eliminate(row, prow, c):
+    """row with column c cleared against prow (prow[c] != 0), by
+    cross-multiplication; returned primitive."""
+    p, f = prow[c], row[c]
+    if not f:
+        return row
+    return _primitive([p * a - f * b for a, b in zip(row, prow)])
+
+
+def _rref_int(rows):
+    """Canonical integer RREF of rational rows, zero rows dropped: each row
+    scaled to integers, then reduced fraction-free with zeros above and
+    below every pivot."""
+    m = []
+    for row in filter(any, rows):
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        m = [row if i == r else _eliminate(row, m[r], c) for i, row in enumerate(m)]
+        m = [row for row in m if any(row)]
         r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m[:r])
+    return tuple(_primitive(row) for row in m)
 
 
 class LinearMatroid:
@@ -67,73 +87,47 @@ class LinearMatroid:
         self.rows = rows
         self.ncols = len(rows[0])
 
-    @property
-    def ground_set(self):
-        return tuple(range(self.ncols))
-
     def rank(self, subset=None) -> int:
         if subset is None:
             subset = range(self.ncols)
         cols = sorted(set(subset))
         if not all(0 <= c < self.ncols for c in cols):
             raise InputError("subset out of range")
-        sub = [[row[c] for c in cols] for row in self.rows]
-        return len(_rref(sub))
-
-    def columns(self):
-        return [tuple(row[c] for row in self.rows) for c in range(self.ncols)]
+        return len(_rref_int([[row[c] for c in cols] for row in self.rows]))
 
 
 # ---------------------------------------------------------------------------
 # Crapo beta invariant
 
 
-@lru_cache(maxsize=65536)
-def _beta_rref(key):
-    """Beta of the column matroid whose realization has the given RREF.
+def _beta(rows, memo):
+    """Beta of the column matroid of a canonical integer RREF.
 
-    The RREF rows are canonical for the row space, so matrices realizing
-    the same labelled matroid after row operations share cache entries.
+    A coloop is the pivot of a row with no other nonzero entry.  Without
+    loops, the pivot e of the first row with two nonzero entries is thus
+    the first element that is neither, and beta(M) = beta(M - e) +
+    beta(M / e).  Contracting e drops its row and column; deleting it
+    re-pivots its row by cross-multiplication.
     """
-    rows = key
     if not rows:
-        # rank zero: every element is a loop
-        ncols = 0
-        return 0
-    ncols = len(rows[0])
-    cols = [tuple(r[c] for r in rows) for c in range(ncols)]
-    loops = [c for c in range(ncols) if not any(cols[c])]
-    if loops:
-        return 0 if ncols >= 2 else 0
-    if ncols == 1:
-        return 1
-    rank = len(rows)
-    # find an element that is neither a loop nor a coloop
-    for e in range(ncols):
-        deleted = tuple(tuple(x for i, x in enumerate(r) if i != e) for r in rows)
-        drref = _rref(deleted)
-        if len(drref) < rank:
-            continue  # e is a coloop
-        contracted = _contract_matrix(rows, e)
-        return _beta_rref(drref) + _beta_rref(_rref(contracted))
-    # every element is a coloop: free matroid
-    return 1 if ncols == 1 else 0
-
-
-def _contract_matrix(rows, e):
-    """Realization of M/e: pivot on column e, drop its row and column."""
-    m = [list(r) for r in rows]
-    piv = next(i for i in range(len(m)) if m[i][e] != 0)
-    m[0], m[piv] = m[piv], m[0]
-    inv = m[0][e]
-    m[0] = [x / inv for x in m[0]]
-    for i in range(1, len(m)):
-        if m[i][e] != 0:
-            f = m[i][e]
-            m[i] = [a - f * b for a, b in zip(m[i], m[0])]
-    return tuple(
-        tuple(x for j, x in enumerate(r) if j != e) for r in m[1:]
-    )
+        return 0  # rank zero: every element is a loop
+    if len(rows[0]) == 1:
+        return 1  # a single coloop
+    hit = memo.get(rows)
+    if hit is not None:
+        return hit
+    i = next((i for i, row in enumerate(rows) if sum(map(bool, row)) > 1), None)
+    value = 0  # a loop, or free of rank >= 2
+    if i is not None and all(map(any, zip(*rows))):
+        e = _lead(rows[i])
+        contracted = [row[:e] + row[e + 1:] for row in rows]
+        prow = _primitive(contracted.pop(i))
+        c = _lead(prow)
+        deleted = [_eliminate(row, prow, c) for row in contracted]
+        deleted.insert(sum(_lead(row) < c for row in deleted), prow)
+        value = _beta(tuple(deleted), memo) + _beta(tuple(contracted), memo)
+    memo[rows] = value
+    return value
 
 
 def beta(m: LinearMatroid) -> int:
@@ -141,7 +135,7 @@ def beta(m: LinearMatroid) -> int:
     element), 1 for a single coloop."""
     if m.ncols == 0:
         raise InputError("beta needs a nonempty ground set")
-    return _beta_rref(_rref(m.rows))
+    return _beta(_rref_int(m.rows), {})
 
 
 def beta_whitney(m: LinearMatroid) -> int:
@@ -164,13 +158,15 @@ def beta_whitney(m: LinearMatroid) -> int:
 def signed_euler_char(z_rows) -> int:
     """(-1)^k times the Euler characteristic of the arrangement complement
     with coefficient matrix z (k+1 rows); equals beta of [I | z]."""
+    return _signed_euler_char(z_rows, {})
+
+
+def _signed_euler_char(z_rows, memo):
+    """signed_euler_char sharing the beta memo `memo` with other calls."""
     z = _to_fraction_rows(z_rows)
-    k1 = len(z)
-    full = [
-        tuple(Fraction(1 if i == j else 0) for j in range(k1)) + z[i]
-        for i in range(k1)
-    ]
-    return beta(LinearMatroid(full))
+    full = LinearMatroid([[int(i == j) for j in range(len(z))] + list(row)
+                          for i, row in enumerate(z)])
+    return _beta(_rref_int(full.rows), memo)
 
 
 def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int = 200) -> int:
@@ -185,6 +181,7 @@ def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int
         raise InputError("need at least 2 trials")
     rng = random.Random(seed)
     minors = family.nonzero_minors()
+    memo = {}
     values = []
     for _ in range(trials):
         for _ in range(retry_budget):
@@ -193,7 +190,7 @@ def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int
                 for name in family.param_names
             }
             if all(m.eval(point) != 0 for m in minors):
-                values.append(signed_euler_char(family.z_at(point)))
+                values.append(_signed_euler_char(family.z_at(point), memo))
                 break
         else:
             raise HypothesisError(

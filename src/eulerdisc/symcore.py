@@ -662,6 +662,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Gcd over the integers with positive leading coefficient.
 
     Includes the shared integer content; gcd(a, 0) is a up to sign.
+    Raises ArithmeticError if the pseudo-remainder sequence yields a
+    result that does not divide both operands.
     """
     if a.vars != b.vars:
         raise ValueError("operands use different variable tables")
@@ -697,9 +699,10 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     g = _from_uni(u, vi, a.vars)
     g = exact_div(g, _content_of_coeffs(_uni_coeffs(g, vi)))
     g = canonical(g * g_cont)[0]
-    # The PRS gives a gcd of the primitive parts; guard against spurious factors.
+    # The PRS gives a gcd of the primitive parts; a result that does not
+    # divide both inputs is an internal fault, never a plausible answer.
     if try_div(a, g) is None or try_div(b, g) is None:
-        return MultiPoly.const(a.vars, ic)
+        raise ArithmeticError(f"poly_gcd({a}, {b}): PRS result {g} does not divide both")
     # Reinstate the shared integer content (Gauss: gcd = gcd of contents
     # times gcd of primitive parts).
     return g * ic

@@ -263,3 +263,67 @@ class TestCosmoEulerDisc:
             if "numerator-normalized" in flags
         }
         assert y_flagged == {"Y12", "Y23"}
+
+
+def triangle():
+    return CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)])
+
+
+# Recorded, not independent: the factor -> exponent table of the triangle at
+# seed 0, as the CLI printed it before the beta layer moved to integer
+# matrices (the same table the benchmark checks its reports against).
+TRIANGLE_FACTORS = {
+    "X1 + X2 + 2*Y12 - Y23 - Y13": 1, "X1 + X2 + X3": 1, "X1 + X2 + X3 + 2*Y12": 1,
+    "X1 + X2 + X3 + 2*Y13": 1, "X1 + X2 + X3 + 2*Y23": 1, "X1 + X2 + Y23 + Y13": 7,
+    "X1 + X2 + Y23 - Y13": 1, "X1 + X2 - Y23 + Y13": 1, "X1 + X2 - Y23 - Y13": 1,
+    "X1 + X3 + Y12 + Y23": 7, "X1 + X3 + Y12 - Y23": 1, "X1 + X3 - Y12 + Y23": 1,
+    "X1 + X3 - Y12 - Y23": 1, "X1 + X3 - Y12 - Y23 + 2*Y13": 1,
+    "X1 + Y12 + 2*Y23 + Y13": 1, "X1 + Y12 + 2*Y23 - Y13": 2, "X1 + Y12 + Y13": 29,
+    "X1 + Y12 - 2*Y23 - Y13": 1, "X1 + Y12 - Y13": 11, "X1 + Y23": 1,
+    "X1 - X2 + Y23 - Y13": 1, "X1 - X3 - Y12 + Y23": 1, "X1 - Y12 + 2*Y23 + Y13": 2,
+    "X1 - Y12 + 2*Y23 - Y13": 5, "X1 - Y12 + Y13": 11, "X1 - Y12 - 2*Y23 + Y13": 1,
+    "X1 - Y12 - 2*Y23 - Y13": 1, "X1 - Y12 - Y13": 6, "X2 + X3 + Y12 + Y13": 7,
+    "X2 + X3 + Y12 - Y13": 1, "X2 + X3 - Y12 + 2*Y23 - Y13": 1,
+    "X2 + X3 - Y12 + Y13": 1, "X2 + X3 - Y12 - Y13": 1, "X2 + Y12 + Y23": 29,
+    "X2 + Y12 + Y23 + 2*Y13": 1, "X2 + Y12 - Y23": 11, "X2 + Y12 - Y23 + 2*Y13": 2,
+    "X2 + Y12 - Y23 - 2*Y13": 1, "X2 + Y13": 1, "X2 - X3 - Y12 + Y13": 1,
+    "X2 - Y12 + Y23": 11, "X2 - Y12 + Y23 + 2*Y13": 2, "X2 - Y12 + Y23 - 2*Y13": 1,
+    "X2 - Y12 - Y23": 6, "X2 - Y12 - Y23 + 2*Y13": 5, "X2 - Y12 - Y23 - 2*Y13": 1,
+    "X3 + 2*Y12 + Y23 + Y13": 1, "X3 + 2*Y12 + Y23 - Y13": 2,
+    "X3 + 2*Y12 - Y23 + Y13": 2, "X3 + 2*Y12 - Y23 - Y13": 5, "X3 + Y12": 1,
+    "X3 + Y23 + Y13": 29, "X3 + Y23 - Y13": 11, "X3 - 2*Y12 + Y23 - Y13": 1,
+    "X3 - 2*Y12 - Y23 + Y13": 1, "X3 - 2*Y12 - Y23 - Y13": 1, "X3 - Y23 + Y13": 11,
+    "X3 - Y23 - Y13": 6, "Y12": 33, "Y12 + Y13": 6, "Y12 + Y23": 6,
+    "Y12 + Y23 + Y13": 2, "Y12 + Y23 - Y13": 6, "Y12 - Y13": 20, "Y12 - Y23": 20,
+    "Y12 - Y23 + Y13": 6, "Y12 - Y23 - Y13": 6, "Y13": 33, "Y23": 33, "Y23 + Y13": 6,
+    "Y23 - Y13": 20,
+}
+
+
+@pytest.fixture(scope="module")
+def triangle_report():
+    return cosmo_euler_disc(triangle(), seed=0)
+
+
+class TestEulerDiscRegression:
+    def test_triangle_recorded_table(self, triangle_report):
+        data = triangle_report.to_dict()
+        assert data["chi_star"] == 99
+        assert data["degree"] == 450
+        assert {f["poly"]: f["exponent"] for f in data["factors"]} == TRIANGLE_FACTORS
+
+    def test_consecutive_calls_agree(self, triangle_report):
+        assert cosmo_euler_disc(triangle(), seed=0).to_dict() == triangle_report.to_dict()
+
+    def test_no_module_level_beta_cache(self, triangle_report):
+        # The beta memo lives for one euler_disc call; nothing in the module
+        # keeps state between calls.
+        from eulerdisc import matroid
+
+        state = [
+            name
+            for name, value in vars(matroid).items()
+            if not name.startswith("__")
+            and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+        ]
+        assert state == []

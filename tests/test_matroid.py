@@ -1,18 +1,24 @@
 """Tests for linear matroids and the beta invariant.
 
-Oracle: brute-force signed Whitney rank sum over all column subsets.
+Oracles: the brute-force signed Whitney rank sum over all column subsets
+for beta, and the largest nonzero minor (by `kernels.det_int`) for rank.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, InputError
+from eulerdisc.kernels import det_int
 from eulerdisc.matroid import (
     LinearMatroid,
+    _beta,
+    _rref_int,
     beta,
     beta_whitney,
     generic_euler_char,
@@ -117,6 +123,85 @@ class TestBeta:
                 assert beta(m) == beta(deleted) + beta(contracted)
                 checked += 1
                 break
+
+
+oracle_settings = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+entries = st.one_of(st.integers(-3, 3).map(Fraction), nonzero)
+
+
+@st.composite
+def matrices(draw, max_rows=3, max_cols=7):
+    """Rational matrices with negative and fractional entries, and
+    optionally zero columns, proportional columns, zero rows and repeated
+    rows."""
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    col = st.integers(0, nc - 1)
+    row = st.integers(0, nr - 1)
+    for j in draw(st.lists(col, max_size=2)):
+        for r in rows:
+            r[j] = Fraction(0)
+    for j, k, f in draw(st.lists(st.tuples(col, col, nonzero), max_size=2)):
+        for r in rows:
+            r[j] = f * r[k]
+    if draw(st.booleans()):
+        rows[draw(row)] = [Fraction(0)] * nc
+    if draw(st.booleans()):
+        rows[draw(row)] = list(rows[draw(row)])
+    return rows
+
+
+def minor_rank(rows, cols):
+    """Largest k with a nonzero k x k minor on the given columns."""
+    ints = [[x * prod(y.denominator for y in r) for x in r] for r in rows]
+    for k in range(min(len(rows), len(cols)), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(cols, k):
+                if det_int([[int(ints[i][j]) for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+class TestOracles:
+    @oracle_settings
+    @given(matrices())
+    def test_beta_matches_whitney(self, rows):
+        m = LinearMatroid(rows)
+        assert beta(m) == beta_whitney(m)
+
+    @oracle_settings
+    @given(matrices(), st.data())
+    def test_rank_is_largest_nonzero_minor(self, rows, data):
+        m = LinearMatroid(rows)
+        sub = data.draw(st.sets(st.integers(0, m.ncols - 1)))
+        assert m.rank() == minor_rank(rows, range(m.ncols))
+        assert m.rank(sub) == minor_rank(rows, sorted(sub))
+
+    @oracle_settings
+    @given(matrices(), st.data())
+    def test_rref_int_invariant_under_row_operations(self, rows, data):
+        key = _rref_int(rows)
+        row = st.integers(0, len(rows) - 1)
+        moved = [list(r) for r in rows]
+        i, f = data.draw(row), data.draw(nonzero)
+        moved[i] = [f * x for x in moved[i]]
+        i, k, f = data.draw(row), data.draw(row), data.draw(entries)
+        if i != k:
+            moved[i] = [a + f * b for a, b in zip(moved[i], moved[k])]
+        moved = data.draw(st.permutations(moved))
+        assert _rref_int(moved) == key
+
+    @oracle_settings
+    @given(matrices())
+    def test_memo_keys_are_canonical(self, rows):
+        # Every minor the recursion visits is already in canonical form, so
+        # equal minors share one memo entry.
+        memo = {}
+        _beta(_rref_int(rows), memo)
+        assert all(_rref_int(key) == key for key in memo)
 
 
 class TestSignedEulerChar:

@@ -184,6 +184,15 @@ class TestGcd:
         assert poly_gcd(parse("x + 1", VT), parse("y + 1", VT)) == parse("1", VT)
         assert poly_gcd(MultiPoly.zero(VT), parse("-3*x", VT)) == parse("3*x", VT)
 
+    def test_gcd_raises_when_prs_result_does_not_divide(self, monkeypatch):
+        # A pseudo-remainder that always vanishes makes the PRS stop at
+        # x + 2, which does not divide x^2 + 1.
+        import eulerdisc.symcore as symcore
+
+        monkeypatch.setattr(symcore, "_pseudo_rem", lambda u, v, vi, vars: {})
+        with pytest.raises(ArithmeticError, match=r"poly_gcd\(x\^2 \+ 1, x \+ 2\)"):
+            poly_gcd(parse("x^2 + 1", VT), parse("x + 2", VT))
+
     def test_gcd_symmetric_and_positive(self):
         rng = random.Random(42)
         for _ in range(30):
