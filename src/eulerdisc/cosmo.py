@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, connected_subgraphs
-from .symcore import MultiPoly, RationalFunction, VarTable, cancel_factors
+from .symcore import MultiPoly, RationalFunction, VarTable
 
 __all__ = [
     "energy_vars",
@@ -72,16 +72,16 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
             p = p + MultiPoly.var(vt, f"Y{eid}")
         return p
 
-    # intermediate values are (numerator, denominator factor dict); each
-    # level clears its edge terms over one common denominator and cancels
-    # once, instead of reducing after every pairwise operation
+    # each level clears its edge terms over one common denominator and
+    # cancels once, in RationalFunction, instead of reducing after every
+    # pairwise operation
     def psi(verts, shift):
         key = (verts, tuple(sorted((v, shift[v]) for v in shift if v in verts)))
         if key in memo:
             return memo[key]
         if len(verts) == 1:
             v = next(iter(verts))
-            out = (one, {x_of(v, shift): 1})
+            out = RationalFunction(one, FactoredPolynomial([(x_of(v, shift), 1)]))
         else:
             total = MultiPoly.zero(vt)
             for v in verts:
@@ -92,12 +92,12 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
             for i, j, eid in inner:
                 side_i = _component(verts, inner, i, eid)
                 side_j = verts - side_i
-                ni, di = psi(side_i, _add_shift(shift, i, eid))
-                nj, dj = psi(side_j, _add_shift(shift, j, eid))
-                den = dict(di)
-                for p, e in dj.items():
+                ri = psi(side_i, _add_shift(shift, i, eid))
+                rj = psi(side_j, _add_shift(shift, j, eid))
+                den = dict(ri.den.factors)
+                for p, e in rj.den:
                     den[p] = den.get(p, 0) + e
-                terms.append((ni * nj, den))
+                terms.append((ri.num * rj.num, den))
                 for p, e in den.items():
                     if common.get(p, 0) < e:
                         common[p] = e
@@ -109,15 +109,11 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
                         tn = tn * p
                 num = num + tn
             common[total] = common.get(total, 0) + 1
-            num, rest = cancel_factors(num, common.items())
-            out = (num, dict(rest))
+            out = RationalFunction(num, FactoredPolynomial(common.items()))
         memo[key] = out
         return out
 
-    num, den = psi(frozenset(range(1, g.vertex_count + 1)), {})
-    return RationalFunction(
-        num, FactoredPolynomial(sorted(den.items(), key=lambda f: str(f[0])))
-    )
+    return psi(frozenset(range(1, g.vertex_count + 1)), {})
 
 
 def _component(verts, edges, start, removed_eid):

@@ -25,7 +25,7 @@ from .symcore import (
     VarTable,
     canonical,
     coprime_basis,
-    det,
+    minors,
     parse,
 )
 
@@ -63,21 +63,19 @@ def _symbolic_block(g: PatternGraph, vt: VarTable):
     return rows
 
 
-def _minor(block, I, J):
-    return det([[block[i][j] for j in J] for i in I])
-
-
 def pad_sparse(g: PatternGraph) -> FactoredPolynomial:
     """Principal A-determinant of the arrangement with coefficient pattern g.
 
     Product over pairs (I, J) of equal-size row and column subsets whose
     induced subgraph is connected and satisfies the expansion condition, of
-    the minor det(z_{I,J}) raised to its subdiagram volume.
+    the minor det(z_{I,J}) raised to its subdiagram volume.  The minors
+    come from one `symcore.minors` of the symbolic block, so each is
+    expanded over the smaller minors it contains.
     """
     if not is_connected(g):
         raise HypothesisError("pattern graph must be connected")
     vt = pattern_vars(g)
-    block = _symbolic_block(g, vt)
+    minor = minors(_symbolic_block(g, vt))
     jcols = {j: c for c, j in enumerate(g.right)}
     merged = {}
     for size in range(1, min(g.left_size, g.right_size) + 1):
@@ -91,8 +89,7 @@ def pad_sparse(g: PatternGraph) -> FactoredPolynomial:
                 exponent = subdiagram_volume(g, h)
                 if exponent == 0:
                     continue
-                minor = _minor(block, I, [jcols[j] for j in J])
-                factor = canonical(minor)[0]
+                factor = canonical(minor(I, tuple(jcols[j] for j in J)))[0]
                 merged[factor] = merged.get(factor, 0) + exponent
     return FactoredPolynomial(sorted(merged.items(), key=lambda fe: str(fe[0])))
 
@@ -166,15 +163,17 @@ class ParamFamily:
         ]
 
     def all_minors(self):
-        """Minors det(z_{I,J}) of the block for all |I| = |J| >= 1, with the
-        identically-zero ones dropped; cached."""
+        """Minors det(z_{I,J}) of the block for all |I| = |J| >= 1, by size,
+        then I, then J, with the identically-zero ones dropped; cached.
+        One `symcore.minors` expands each over the minors one size smaller."""
         if self._minors is None:
+            minor = minors(self.entries)
             out = []
             nr, nc = self.k + 1, self.ncols
             for size in range(1, min(nr, nc) + 1):
                 for I in combinations(range(nr), size):
                     for J in combinations(range(nc), size):
-                        m = det([[self.entries[i][j] for j in J] for i in I])
+                        m = minor(I, J)
                         if not m.is_zero:
                             out.append(m)
             self._minors = out

@@ -30,6 +30,7 @@ __all__ = [
     "cancel_factors",
     "coprime_basis",
     "det",
+    "minors",
 ]
 
 
@@ -812,8 +813,42 @@ def factor_multiplicity(p: MultiPoly, factor: MultiPoly) -> int:
 # Determinants
 
 
+def minors(matrix):
+    """The minors of a matrix of MultiPoly, rectangular or square.
+
+    Returns minor(I, J), the determinant of the submatrix on the increasing
+    row tuple I and column tuple J of equal length.  Each minor is the
+    Laplace expansion along row I[0] over minors one size smaller, which
+    are memoized for as long as the returned function lives, so a minor is
+    computed once however many larger minors contain it.  Zero entries and
+    zero sub-minors are skipped; no division is needed.
+    """
+    memo = {}
+
+    def minor(I, J):
+        m = memo.get((I, J))
+        if m is not None:
+            return m
+        row = matrix[I[0]]
+        if len(I) == 1:
+            m = row[J[0]]
+        else:
+            m = MultiPoly.zero(row[J[0]].vars)
+            for k, j in enumerate(J):
+                if row[j].is_zero:
+                    continue
+                sub = minor(I[1:], J[:k] + J[k + 1 :])
+                if not sub.is_zero:
+                    m = m + row[j] * sub if k % 2 == 0 else m - row[j] * sub
+        memo[(I, J)] = m
+        return m
+
+    return minor
+
+
 def det(matrix) -> MultiPoly:
-    """Exact determinant of a square matrix of MultiPoly (fraction-free)."""
+    """Exact determinant of a square matrix of MultiPoly: the full minor of
+    `minors`."""
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a non-empty square matrix")
@@ -822,47 +857,8 @@ def det(matrix) -> MultiPoly:
         for p in row:
             if p.vars != vars:
                 raise ValueError("matrix entries use different variable tables")
-    if n <= 3:
-        return _det_cofactor(matrix, vars)
-    return _det_bareiss([list(row) for row in matrix], vars)
-
-
-def _det_cofactor(m, vars):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = MultiPoly.zero(vars)
-    for j in range(n):
-        if m[0][j].is_zero:
-            continue
-        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = m[0][j] * _det_cofactor(minor, vars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(m, vars):
-    n = len(m)
-    sign = 1
-    prev = MultiPoly.const(vars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = MultiPoly.zero(vars)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result
+    full = tuple(range(n))
+    return minors(matrix)(full, full)
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,13 @@ class TestPadSparse:
         # has an identically zero minor, so skipping it loses nothing
         from itertools import combinations
 
-        from eulerdisc.discriminant import _minor, _symbolic_block
+        from eulerdisc.discriminant import _symbolic_block
         from eulerdisc.graphs import saturating_matching
+        from eulerdisc.symcore import minors
 
         g = artificial_pattern()
         vt = pattern_vars(g)
-        block = _symbolic_block(g, vt)
+        minor = minors(_symbolic_block(g, vt))
         jcols = {j: c for c, j in enumerate(g.right)}
         seen_zero = 0
         for size in range(1, 4):
@@ -111,7 +112,7 @@ class TestPadSparse:
                 for J in combinations(g.right, size):
                     h = induced(g, I, J)
                     if saturating_matching(h, side="left") is None:
-                        m = _minor(block, I, [jcols[j] for j in J])
+                        m = minor(I, tuple(jcols[j] for j in J))
                         assert m.is_zero
                         seen_zero += 1
         assert seen_zero > 0

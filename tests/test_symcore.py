@@ -7,7 +7,7 @@ construct-then-check for gcd).
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from eulerdisc.symcore import (
     det,
     exact_div,
     factor_multiplicity,
+    minors,
     parse,
     poly_gcd,
     try_div,
@@ -378,6 +379,152 @@ class TestDet:
 
         arr = np.array([[pt[f"z{i}{j}"] for j in range(3, 6)] for i in range(3)])
         assert d.eval(pt) == round(float(np.linalg.det(arr)))
+
+
+def leibniz(m, vars):
+    """Oracle: the determinant as the signed sum over permutations."""
+    n = len(m)
+    total = MultiPoly.zero(vars)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = MultiPoly.const(vars, sign)
+        for i in range(n):
+            prod = prod * m[i][perm[i]]
+        total = total + prod
+    return total
+
+
+def leibniz_minors(m, vars):
+    """Every balanced (I, J) of m with the Leibniz value of its minor, by
+    size, then I, then J."""
+    nr, nc = len(m), len(m[0])
+    out = []
+    for size in range(1, min(nr, nc) + 1):
+        for I in combinations(range(nr), size):
+            for J in combinations(range(nc), size):
+                out.append(((I, J), leibniz([[m[i][j] for j in J] for i in I], vars)))
+    return out
+
+
+const_entry = st.integers(-3, 3).map(lambda c: MultiPoly.const(VT, c))
+poly_entry = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3), max_size=3
+).map(lambda t: MultiPoly(VT, t))
+
+
+@st.composite
+def poly_matrices(draw):
+    """Matrices up to 4 x 6 whose entries are zeros, integer constants and
+    small polynomials; some rows are entirely constant."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nr):
+        entry = draw(st.sampled_from([const_entry, st.one_of(const_entry, poly_entry)]))
+        rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    return rows
+
+
+class TestMinorsOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=poly_matrices(), data=st.data())
+    def test_every_minor_matches_leibniz(self, m, data):
+        minor = minors(m)
+        # queried in any order, so a minor may be asked for before the
+        # smaller minors it is expanded over
+        for (I, J), expected in data.draw(st.permutations(leibniz_minors(m, VT))):
+            assert minor(I, J) == expected
+
+    def test_all_minors_match_leibniz(self):
+        from eulerdisc.cosmo import coefficient_family
+        from eulerdisc.discriminant import ParamFamily
+        from eulerdisc.graphs import CosmoGraph
+
+        triangle = coefficient_family(CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)]))
+        z1 = ParamFamily.from_strings(
+            2,
+            ["w1", "w2", "w3"],
+            [["w1+w2", "1", "0", "0"], ["1", "0", "1", "w2+w3"], ["0", "w1-w3", "w1+w2+w3", "1"]],
+        )
+        for fam in (triangle, z1):
+            expected = [v for _, v in leibniz_minors(fam.entries, fam.params) if not v.is_zero]
+            assert fam.all_minors() == expected
+
+    def test_det_rejects_bad_input(self):
+        x = MultiPoly.var(VT, "x")
+        with pytest.raises(ValueError):
+            det([])
+        with pytest.raises(ValueError):
+            det([[x, x]])
+        with pytest.raises(ValueError):
+            det([[x], [x, x]])
+        with pytest.raises(ValueError):
+            det([[x, x], [x, MultiPoly.var(VarTable(["x"]), "x")]])
+
+
+class TestMulPackedBigInt:
+    """Products whose coefficients or packed exponent keys overflow int64
+    take the big-integer loop of MultiPoly._mul_packed.  Each product is
+    (p + q)(p - q), so its cross terms cancel exactly."""
+
+    @staticmethod
+    def check_product(a, b, monkeypatch, rng):
+        import numpy as np
+
+        def int64_branch(*args, **kwargs):
+            raise AssertionError("the int64 branch ran")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "unique", int64_branch)
+            prod = a * b
+        # partial products over chunks of b small enough for the tuple loop
+        step = 4096 // len(a.terms)
+        items = list(b.terms.items())
+        expected = MultiPoly.zero(a.vars)
+        for k in range(0, len(items), step):
+            chunk = MultiPoly(b.vars, dict(items[k : k + step]))
+            assert len(a.terms) * len(chunk.terms) <= 4096
+            expected = expected + a * chunk
+        assert prod == expected
+        for _ in range(3):
+            pt = {name: rng.randint(-3, 3) for name in a.vars.names}
+            assert prod.eval(pt) == a.eval(pt) * b.eval(pt)
+
+    def test_large_coefficients(self, monkeypatch):
+        rng = random.Random(81)
+
+        def big_poly():
+            terms = {}
+            while len(terms) < 40:
+                e = tuple(rng.randint(0, 6) for _ in VT.names)
+                terms[e] = rng.choice([-1, 1]) * rng.randint(1 << 31, 1 << 40)
+            return MultiPoly(VT, terms)
+
+        p, q = big_poly(), big_poly()
+        a, b = p + q, p - q
+        assert len(a.terms) * len(b.terms) > 4096
+        assert min(abs(c) for c in a.terms.values()) >= 1 << 31
+        self.check_product(a, b, monkeypatch, rng)
+
+    def test_wide_exponent_keys(self, monkeypatch):
+        rng = random.Random(82)
+        vt = VarTable([f"v{i}" for i in range(10)])
+
+        def high_degree_poly():
+            terms = {}
+            while len(terms) < 35:
+                e = tuple(rng.randint(0, 60) for _ in vt.names)
+                terms[e] = rng.choice([-2, -1, 1, 2])
+            return MultiPoly(vt, terms)
+
+        p, q = high_degree_poly(), high_degree_poly()
+        a, b = p + q, p - q
+        # 7-bit exponent fields for each of 10 variables: at least 63 key bits
+        assert all(max(e[i] for e in a.terms) + max(e[i] for e in b.terms) >= 64 for i in range(10))
+        self.check_product(a, b, monkeypatch, rng)
 
 
 class TestFactoredAndRational:
