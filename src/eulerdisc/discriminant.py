@@ -19,14 +19,16 @@ from .graphs import PatternGraph, condition_star, induced, is_connected
 from .lattice import edge_config, lattice_normalize, normalized_volume, subdiagram_volume
 from .matroid import _signed_euler_char, generic_euler_char
 from .symcore import (
-    _PRECHECK_PRIME,
     FactoredPolynomial,
     MultiPoly,
     VarTable,
     canonical,
     coprime_basis,
+    eval_mod_p,
     minors,
     parse,
+    residue_terms,
+    residues,
 )
 
 __all__ = [
@@ -277,45 +279,13 @@ def _rational_roots(coeffs):
     return sorted(roots)
 
 
-def _residue_terms(p: MultiPoly):
-    """The terms of p as (coefficient mod P, ((variable index, power), ...))
-    for the screen of witness_point, where P is the prime _PRECHECK_PRIME."""
-    return [
-        (c % _PRECHECK_PRIME, tuple((i, x) for i, x in enumerate(e) if x))
-        for e, c in p.terms.items()
-    ]
-
-
-def _residues(point, names):
-    """Each coordinate a/b of point as a * b^-1 mod P, in variable order, or
-    None when some denominator is divisible by P."""
-    out = []
-    for name in names:
-        v = point[name]
-        if v.denominator % _PRECHECK_PRIME == 0:
-            return None
-        out.append(v.numerator * pow(v.denominator, -1, _PRECHECK_PRIME) % _PRECHECK_PRIME)
-    return out
-
-
-def _nonzero_mod_p(terms, r) -> bool:
-    """True when the polynomial given by _residue_terms is nonzero mod P at
-    the residues r, which proves its exact value nonzero."""
-    total = 0
-    for c, mono in terms:
-        for i, x in mono:
-            c = c * (r[i] if x == 1 else pow(r[i], x, _PRECHECK_PRIME)) % _PRECHECK_PRIME
-        total += c
-    return total % _PRECHECK_PRIME != 0
-
-
 def _avoids_all(avoid, screens, point, names) -> bool:
     """True when no avoid polynomial vanishes at point.  A nonzero residue
     mod P is the only shortcut to "nonzero"; a zero residue is checked by
     exact evaluation."""
-    r = _residues(point, names)
+    r = residues(point, names)
     for a, terms in zip(avoid, screens):
-        if r is not None and _nonzero_mod_p(terms, r):
+        if r is not None and eval_mod_p(terms, r):
             continue
         if a.eval(point) == 0:
             return False
@@ -323,12 +293,14 @@ def _avoids_all(avoid, screens, point, names) -> bool:
 
 
 def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int = 0,
-                  budget: int = 600):
+                  budget: int = 600, *, screens=None):
     """A rational point with delta = 0 and every avoid polynomial nonzero.
 
     Tries solving for a variable of degree 1 first, then a rational-root
     search on random univariate slices.  Returns a name -> Fraction map, or
-    None when the budget is exhausted.
+    None when the budget is exhausted.  screens, when given, holds the
+    `residue_terms` of each avoid polynomial, so a caller that searches
+    many witnesses against one set builds them once.
     """
     if delta.is_constant:
         raise InputError("witness needs a nonconstant polynomial")
@@ -337,7 +309,8 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
     present = sorted(delta.variables_present())
     linear_vars = [names[i] for i in present if delta.degree_in(names[i]) == 1]
     search_vars = linear_vars or [names[i] for i in present]
-    screens = [_residue_terms(a) for a in avoid]
+    if screens is None:
+        screens = [residue_terms(a) for a in avoid]
 
     for attempt in range(budget):
         v = search_vars[attempt % len(search_vars)]
@@ -399,14 +372,16 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
         raise HypothesisError("generic Euler characteristic is zero")
     factors = coprime_basis(minors)
     memo = {}  # beta memo shared by every witness point of this call
+    screens = [residue_terms(q) for q in factors]
     per_factor = []
     pairs = []
     for idx, delta in enumerate(factors):
-        others = [q for q in factors if q is not delta]
+        others = factors[:idx] + factors[idx + 1 :]
+        others_screens = screens[:idx] + screens[idx + 1 :]
         drops = []
         witness = None
         for wseed in ((seed, seed + 1000) if find_witnesses else ()):
-            w = witness_point(delta, avoid=others, seed=wseed)
+            w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
             if w is None:
                 continue
             chi_w = _signed_euler_char(f.z_at(w), memo)

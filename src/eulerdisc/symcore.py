@@ -13,6 +13,7 @@ import math
 import random as _random
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -70,6 +71,33 @@ class VarTable:
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+# The product loop keys each monomial by one int holding a w-byte
+# little-endian field per variable.  When every exponent of the product
+# fits in w bytes, the key of a product monomial is the sum of the keys of
+# its factors.
+
+
+def _pack(exps, w):
+    """The keys of the exponent tuples exps."""
+    if w == 1:
+        return map(int.from_bytes, map(bytes, exps), repeat("little"))
+    return (
+        int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little")
+        for e in exps
+    )
+
+
+def _unpack(keys, nv, w):
+    """The exponent tuples, of nv variables each, of the keys."""
+    if w == 1:
+        return map(tuple, map(int.to_bytes, keys, repeat(nv), repeat("little")))
+    n = nv * w
+    return (
+        tuple(int.from_bytes(kb[i : i + w], "little") for i in range(0, n, w))
+        for kb in (k.to_bytes(n, "little") for k in keys)
+    )
 
 
 class MultiPoly:
@@ -202,77 +230,24 @@ class MultiPoly:
                 self.vars, {e: c * other for e, c in self.terms.items()}
             )
         self._check(other)
-        if len(self.terms) * len(other.terms) > 4096:
-            return self._mul_packed(other)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return MultiPoly.zero(self.vars)
+        top = max(map(max, zip(*big)), default=0) + max(map(max, zip(*small)), default=0)
+        w = max(1, (top.bit_length() + 7) // 8)
+        packed = list(zip(_pack(big, w), big.values()))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly._raw(self.vars, out)
-
-    def _mul_packed(self, other):
-        """Product via single-integer exponent keys; avoids building and
-        hashing an exponent tuple in the inner loop of large products."""
-        import numpy as np
-
-        nv = len(self.vars)
-        ea = np.array(list(self.terms.keys()), dtype=np.int64).reshape(-1, nv)
-        eb = np.array(list(other.terms.keys()), dtype=np.int64).reshape(-1, nv)
-        maxd = ea.max(axis=0) + eb.max(axis=0)
-        widths = [max(1, int(d).bit_length()) for d in maxd]
-        shifts = [0] * nv
-        for i in range(1, nv):
-            shifts[i] = shifts[i - 1] + widths[i - 1]
-        key_bits = sum(widths)
-        amax = max(abs(c) for c in self.terms.values())
-        bmax = max(abs(c) for c in other.terms.values())
-        bound = amax * bmax * min(len(ea), len(eb))
-        if key_bits < 63 and bound < (1 << 62):
-            w = np.array([1 << s for s in shifts], dtype=np.int64)
-            va = np.fromiter(self.terms.values(), dtype=np.int64, count=len(ea))
-            vb = np.fromiter(other.terms.values(), dtype=np.int64, count=len(eb))
-            keys = ((ea @ w)[:, None] + (eb @ w)[None, :]).ravel()
-            vals = (va[:, None] * vb[None, :]).ravel()
-            uniq, inv = np.unique(keys, return_inverse=True)
-            acc = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(acc, inv, vals)
-            nz = acc != 0
-            uniq, acc = uniq[nz], acc[nz]
-            sh = np.array(shifts, dtype=np.int64)
-            mk = np.array([(1 << w_) - 1 for w_ in widths], dtype=np.int64)
-            exps = (uniq[:, None] >> sh) & mk
-            out = dict(zip(map(tuple, exps.tolist()), acc.tolist()))
-            return MultiPoly._raw(self.vars, out)
-
-        # coefficients or keys too large for int64: packed big-int dict loop
-        def pack(e):
-            k = 0
-            for x, s in zip(e, shifts):
-                k |= x << s
-            return k
-
-        a = [(pack(e), c) for e, c in self.terms.items()]
-        b = [(pack(e), c) for e, c in other.terms.items()]
-        conv = {}
-        for k1, c1 in a:
-            for k2, c2 in b:
+        get = out.get
+        for k2, c2 in zip(_pack(small, w), small.values()):
+            for k1, c1 in packed:
                 k = k1 + k2
-                s = conv.get(k, 0) + c1 * c2
-                if s:
-                    conv[k] = s
-                else:
-                    del conv[k]
-        masks = [(1 << w) - 1 for w in widths]
-        out = {
-            tuple((k >> s) & m for s, m in zip(shifts, masks)): c
-            for k, c in conv.items()
-        }
-        return MultiPoly._raw(self.vars, out)
+                out[k] = get(k, 0) + c1 * c2
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+        nv = len(self.vars)
+        return MultiPoly._raw(self.vars, dict(zip(_unpack(out, nv, w), out.values())))
 
     __rmul__ = __mul__
 
@@ -526,58 +501,97 @@ def try_div(a: MultiPoly, b: MultiPoly):
     return MultiPoly._raw(a.vars, quot)
 
 
-_PRECHECK_PRIME = 2147483647
+# ---------------------------------------------------------------------------
+# Evaluation modulo a prime: a nonzero residue proves a nonzero value
+
+
+PRIME = 2147483647  # 2^31 - 1
+
+
+def residue_terms(p: MultiPoly):
+    """The terms of p as (coefficient mod PRIME, ((variable index, power),
+    ...)), the form `eval_mod_p` evaluates."""
+    return [
+        (c % PRIME, tuple((i, x) for i, x in enumerate(e) if x))
+        for e, c in p.terms.items()
+    ]
+
+
+def residues(point, names):
+    """Each coordinate a/b of point as a * b^-1 mod PRIME, in the order of
+    names, or None when some denominator is divisible by PRIME."""
+    out = []
+    for name in names:
+        v = point[name]
+        if v.denominator % PRIME == 0:
+            return None
+        out.append(v.numerator * pow(v.denominator, -1, PRIME) % PRIME)
+    return out
+
+
+def eval_mod_p(terms, r) -> int:
+    """The value mod PRIME, at the residues r, of the polynomial given by
+    `residue_terms`.  A nonzero value proves the exact value nonzero."""
+    total = 0
+    for c, mono in terms:
+        for i, x in mono:
+            c = c * (r[i] if x == 1 else pow(r[i], x, PRIME)) % PRIME
+        total += c
+    return total % PRIME
 
 
 def nondivisibility_certificates(a: MultiPoly, bs) -> list:
     """For each linear polynomial in bs, True when a is provably not
-    divisible by it.
+    divisible by it.  False means no certificate, not divisibility.
 
-    Evaluates a modulo a 31-bit prime at random points of each hyperplane
-    {b = 0}; a nonzero value certifies non-divisibility over the rationals.
-    False means no certificate, not divisibility.
+    At a random point r mod PRIME, a linear b with lead variable x_i meets
+    {b = 0} where x_i = t = -(b(r) - c*r_i)/c, c the lead coefficient, and
+    there a = sum_d S_i[d] (t/r_i)^d, S_i[d] the sum of the values at r of
+    the terms of a with x_i-power d.  A primitive b dividing a forces
+    a = 0 mod PRIME on {b = 0}, so a nonzero value certifies
+    non-divisibility.  A lead coefficient divisible by PRIME gives no
+    point of {b = 0} this way, and no certificate.  A second point is drawn
+    only for the b still uncertified after the first.
     """
-    import numpy as np
-
-    P = _PRECHECK_PRIME
     out = [False] * len(bs)
-    if a.is_zero or not bs:
+    if a.is_zero:
         return out
-    nv = len(a.vars)
-    terms = list(a.terms.items())
-    E = np.array([e for e, _ in terms], dtype=np.int64)
-    C = np.array([c % P for _, c in terms], dtype=np.int64)
-    maxdeg = E.max(axis=0)
-    rng = _random.Random(2)
+    pending = []
     for bi, b in enumerate(bs):
         if b.is_zero or b.total_degree() != 1:
             continue
         lead = b.leading_exponent()
-        (i,) = [k for k, x in enumerate(lead) if x]
-        for _ in range(2):
-            vals = [rng.randint(1, P - 2) for _ in range(nv)]
-            rest = 0
-            for e, c in b.terms.items():
-                if e == lead:
-                    continue
-                m = c % P
-                for k, x in enumerate(e):
-                    if x:
-                        m = m * pow(vals[k], x, P) % P
-                rest = (rest + m) % P
-            vals[i] = (-rest) * pow(b.terms[lead], P - 2, P) % P
-            acc = C.copy()
-            for k in range(nv):
-                md = int(maxdeg[k])
-                if md == 0:
-                    continue
-                row = [1] * (md + 1)
-                for d in range(1, md + 1):
-                    row[d] = row[d - 1] * vals[k] % P
-                acc = acc * np.asarray(row, dtype=np.int64)[E[:, k]] % P
-            if int(acc.sum()) % P:
+        c = b.terms[lead] % PRIME
+        if c:
+            pending.append((bi, lead.index(1), c, residue_terms(b)))
+    if not pending:
+        return out
+    cols = list(zip(*a.terms))
+    coeffs = [c % PRIME for c in a.terms.values()]
+    rng = _random.Random(2)
+    for _ in range(2):
+        r = [rng.randint(1, PRIME - 1) for _ in cols]
+        vals = coeffs
+        for x, col in zip(r, cols):
+            pw = {d: pow(x, d, PRIME) for d in set(col)}
+            vals = [v * pw[d] % PRIME for v, d in zip(vals, col)]
+        sums = {}
+        left = []
+        for item in pending:
+            bi, i, c, b_terms = item
+            if i not in sums:
+                s = sums[i] = {}
+                for v, d in zip(vals, cols[i]):
+                    s[d] = s.get(d, 0) + v
+            # t / r_i, with t the x_i-coordinate of {b = 0} over r
+            u = (c * r[i] - eval_mod_p(b_terms, r)) * pow(c * r[i], -1, PRIME) % PRIME
+            if sum(s_d * pow(u, d, PRIME) for d, s_d in sums[i].items()) % PRIME:
                 out[bi] = True
-                break
+            else:
+                left.append(item)
+        pending = left
+        if not pending:
+            break
     return out
 
 
@@ -959,31 +973,6 @@ class RationalFunction:
         if g > 1:
             self.num = MultiPoly(self.num.vars, {e: c // g for e, c in self.num.terms.items()})
             self.den_const //= g
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        merged = {}
-        for p, e in list(self.den) + list(other.den):
-            merged[p] = merged.get(p, 0) + e
-        return RationalFunction(
-            self.num * other.num,
-            FactoredPolynomial(list(merged.items())),
-            self.den_const * other.den_const,
-        )
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        a, b = dict(self.den.factors), dict(other.den.factors)
-        common = {p: max(a.get(p, 0), b.get(p, 0)) for p in set(a) | set(b)}
-        const = math.lcm(self.den_const, other.den_const)
-        vars = self.num.vars
-        na = self.num * (const // self.den_const)
-        nb = other.num * (const // other.den_const)
-        for p, e in common.items():
-            ea, eb = a.get(p, 0), b.get(p, 0)
-            if e > ea:
-                na = na * p ** (e - ea)
-            if e > eb:
-                nb = nb * p ** (e - eb)
-        return RationalFunction(na + nb, FactoredPolynomial(list(common.items())), const)
 
     def __eq__(self, other):
         return (

@@ -143,3 +143,28 @@ class TestExitCodes:
     def test_size_limit_is_3(self):
         r = run_cli("cosmo-psi", str(FIXTURES / "big_tree.yaml"))
         assert r.returncode == 3
+
+
+class TestWithoutNumpy:
+    # numpy is blocked before eulerdisc.cli is imported, so any import of it
+    # by the library raises ImportError
+    BLOCKED = (
+        "import runpy, sys; sys.modules['numpy'] = None; "
+        "runpy.run_module('eulerdisc.cli', run_name='__main__')"
+    )
+
+    def test_reports_unchanged_with_numpy_blocked(self):
+        for args in (
+            ("cosmo-psi", str(FIXTURES / "three_site_graph.yaml")),
+            ("euler-disc", str(FIXTURES / "z1_family.yaml")),
+        ):
+            plain = run_cli(*args)
+            blocked = subprocess.run(
+                [sys.executable, "-c", self.BLOCKED, *args],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert plain.returncode == 0
+            assert blocked.returncode == 0, blocked.stderr
+            assert blocked.stdout == plain.stdout

@@ -24,12 +24,15 @@ from eulerdisc.discriminant import (
     witness_point,
 )
 from eulerdisc.symcore import (
-    _PRECHECK_PRIME,
+    PRIME,
     FactoredPolynomial,
     MultiPoly,
     VarTable,
     coprime_basis,
+    eval_mod_p,
     parse,
+    residue_terms,
+    residues,
 )
 
 
@@ -413,7 +416,7 @@ class TestRationalRootsOracle:
 VT3 = VarTable(["w1", "w2", "w3"])
 frac_value = st.tuples(st.integers(-12, 12), st.integers(1, 3)).map(lambda t: Fraction(*t))
 exponent = st.tuples(*[st.integers(0, 2)] * 3)
-coefficient = st.integers(-3 * _PRECHECK_PRIME, 3 * _PRECHECK_PRIME).filter(bool)
+coefficient = st.integers(-3 * PRIME, 3 * PRIME).filter(bool)
 poly3 = st.dictionaries(exponent, coefficient, min_size=1, max_size=4).map(
     lambda t: MultiPoly(VT3, t)
 ).filter(lambda p: not p.is_zero)
@@ -425,33 +428,33 @@ class TestModPScreenOracle:
            point=st.tuples(frac_value, frac_value, frac_value))
     def test_screen_agrees_with_exact_eval(self, polys, point):
         point = dict(zip(VT3.names, point))
-        r = discriminant._residues(point, VT3.names)
+        r = residues(point, VT3.names)
         for p in polys:
-            if discriminant._nonzero_mod_p(discriminant._residue_terms(p), r):
+            if eval_mod_p(residue_terms(p), r):
                 assert p.eval(point) != 0
             else:
-                assert Fraction(p.eval(point)).numerator % _PRECHECK_PRIME == 0
-        screens = [discriminant._residue_terms(p) for p in polys]
+                assert Fraction(p.eval(point)).numerator % PRIME == 0
+        screens = [residue_terms(p) for p in polys]
         assert discriminant._avoids_all(polys, screens, point, VT3.names) == all(
             p.eval(point) != 0 for p in polys
         )
 
     def test_false_zero_is_not_rejected(self):
         # w1 - P at w1 = 0 is -P: zero mod P but not zero
-        a = parse(f"w1 - {_PRECHECK_PRIME}", VT3)
+        a = parse(f"w1 - {PRIME}", VT3)
         point = {"w1": Fraction(0), "w2": Fraction(1), "w3": Fraction(-2)}
-        r = discriminant._residues(point, VT3.names)
-        assert not discriminant._nonzero_mod_p(discriminant._residue_terms(a), r)
-        assert discriminant._avoids_all([a], [discriminant._residue_terms(a)], point, VT3.names)
+        r = residues(point, VT3.names)
+        assert not eval_mod_p(residue_terms(a), r)
+        assert discriminant._avoids_all([a], [residue_terms(a)], point, VT3.names)
         w = witness_point(parse("w1", VT3), avoid=[a], seed=0)
         assert w is not None and w["w1"] == 0
 
     def test_denominator_divisible_by_p_falls_back_to_exact(self):
-        point = {"w1": Fraction(1, _PRECHECK_PRIME), "w2": Fraction(0), "w3": Fraction(0)}
-        assert discriminant._residues(point, VT3.names) is None
-        a = parse(f"{_PRECHECK_PRIME}*w1 - 1", VT3)
+        point = {"w1": Fraction(1, PRIME), "w2": Fraction(0), "w3": Fraction(0)}
+        assert residues(point, VT3.names) is None
+        a = parse(f"{PRIME}*w1 - 1", VT3)
         b = parse("w2 + 1", VT3)
-        screens = [discriminant._residue_terms(p) for p in (a, b)]
+        screens = [residue_terms(p) for p in (a, b)]
         assert not discriminant._avoids_all([a, b], screens, point, VT3.names)
         assert discriminant._avoids_all([b], screens[1:], point, VT3.names)
 
@@ -463,10 +466,28 @@ class TestModPScreenOracle:
             witness_point(d, avoid=[q for q in factors if q is not d], seed=s, budget=60)
             for d in factors for s in (0, 1000)
         ]
-        monkeypatch.setattr(discriminant, "_nonzero_mod_p", lambda terms, r: False)
+        monkeypatch.setattr(discriminant, "eval_mod_p", lambda terms, r: 0)
         exact = [
             witness_point(d, avoid=[q for q in factors if q is not d], seed=s, budget=60)
             for d in factors for s in (0, 1000)
         ]
         assert screened == exact
         assert any(w is not None for w in exact)
+
+    def test_euler_disc_builds_each_screen_once(self, monkeypatch):
+        factors = coprime_basis(z1_family().all_minors())
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return residue_terms(p)
+
+        monkeypatch.setattr(discriminant, "residue_terms", counted)
+        report = euler_disc(z1_family(), seed=0)
+        assert sorted(map(str, calls)) == sorted(map(str, factors))
+        prebuilt = [residue_terms(q) for q in factors[1:]]
+        for s in (0, 1000):
+            assert witness_point(factors[0], factors[1:], s, screens=prebuilt) == witness_point(
+                factors[0], factors[1:], s
+            )
+        assert report.per_factor[0][2] == witness_point(factors[0], factors[1:], 0)

@@ -7,9 +7,9 @@ polytopes.  Face oracles: facet ranks and the Euler relation.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +34,22 @@ def two_site():
 
 def artificial():
     return PatternGraph(3, 4, [(0, 3), (0, 4), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6)])
+
+
+def exact_rank(rows):
+    """Rank of an integer matrix by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def hull_area_doubled(points):
@@ -392,8 +408,8 @@ class TestOracles:
         assert lattice_normalize(c)[0] == d
         fs = facets(c, max_points=32)
         for members in fs:
-            diffs = [np.subtract(pts[i], pts[members[0]]) for i in members]
-            assert np.linalg.matrix_rank(np.array(diffs)) == d - 1
+            diffs = [[a - b for a, b in zip(pts[i], pts[members[0]])] for i in members]
+            assert exact_rank(diffs) == d - 1
         fv = f_vector(c, max_points=32)
         assert fv[d - 1] == len(fs)
         assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerdisc.errors import InputError
+from eulerdisc.kernels import det_int
 from eulerdisc.symcore import (
     FactoredPolynomial,
     MultiPoly,
@@ -24,7 +25,9 @@ from eulerdisc.symcore import (
     det,
     exact_div,
     factor_multiplicity,
+    PRIME,
     minors,
+    nondivisibility_certificates,
     parse,
     poly_gcd,
     try_div,
@@ -375,10 +378,7 @@ class TestDet:
         assert len(d.terms) == 6
         assert d.total_degree() == 3
         pt = {name: k * k + 1 for k, name in enumerate(names)}
-        import numpy as np
-
-        arr = np.array([[pt[f"z{i}{j}"] for j in range(3, 6)] for i in range(3)])
-        assert d.eval(pt) == round(float(np.linalg.det(arr)))
+        assert d.eval(pt) == det_int([[pt[f"z{i}{j}"] for j in range(3, 6)] for i in range(3)])
 
 
 def leibniz(m, vars):
@@ -465,66 +465,128 @@ class TestMinorsOracle:
             det([[x, x], [x, MultiPoly.var(VarTable(["x"]), "x")]])
 
 
-class TestMulPackedBigInt:
-    """Products whose coefficients or packed exponent keys overflow int64
-    take the big-integer loop of MultiPoly._mul_packed.  Each product is
-    (p + q)(p - q), so its cross terms cancel exactly."""
+def naive_product(a, b):
+    """Oracle: the product as a sum over all term pairs of exponent tuples."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiPoly(a.vars, out)
 
-    @staticmethod
-    def check_product(a, b, monkeypatch, rng):
-        import numpy as np
 
-        def int64_branch(*args, **kwargs):
-            raise AssertionError("the int64 branch ran")
+# exponents on both sides of the one-byte and two-byte key fields, and
+# coefficients past int64
+mul_exponent = st.one_of(st.integers(0, 3), st.sampled_from([127, 128, 255, 256, 65535, 2**64]))
+mul_coeff = st.one_of(
+    st.integers(-5, 5), st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63))
+)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(np, "unique", int64_branch)
-            prod = a * b
-        # partial products over chunks of b small enough for the tuple loop
-        step = 4096 // len(a.terms)
-        items = list(b.terms.items())
-        expected = MultiPoly.zero(a.vars)
-        for k in range(0, len(items), step):
-            chunk = MultiPoly(b.vars, dict(items[k : k + step]))
-            assert len(a.terms) * len(chunk.terms) <= 4096
-            expected = expected + a * chunk
-        assert prod == expected
-        for _ in range(3):
-            pt = {name: rng.randint(-3, 3) for name in a.vars.names}
-            assert prod.eval(pt) == a.eval(pt) * b.eval(pt)
 
-    def test_large_coefficients(self, monkeypatch):
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over a table of 0 to 4 variables."""
+    nv = draw(st.integers(0, 4))
+    vt = VarTable([f"v{i}" for i in range(nv)])
+    exps = st.tuples(*[mul_exponent] * nv)
+    return tuple(
+        MultiPoly(vt, draw(st.dictionaries(exps, mul_coeff, max_size=6))) for _ in range(2)
+    )
+
+
+class TestMulOracle:
+    """MultiPoly.__mul__ against the term-pair sum, including products whose
+    terms cancel, zero operands, wide exponent fields and the empty table."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=poly_pairs())
+    def test_against_term_pair_sum(self, pair):
+        a, b = pair
+        assert a * b == naive_product(a, b)
+        assert b * a == naive_product(a, b)
+        # (a + b)(a - b): the cross terms cancel
+        assert (a + b) * (a - b) == naive_product(a + b, a - b)
+        assert (a + b) * (a - b) == a * a - b * b
+        zero = MultiPoly.zero(a.vars)
+        assert (a * zero).is_zero and (zero * a).is_zero
+
+    def test_large_coefficients(self):
         rng = random.Random(81)
 
         def big_poly():
             terms = {}
             while len(terms) < 40:
                 e = tuple(rng.randint(0, 6) for _ in VT.names)
-                terms[e] = rng.choice([-1, 1]) * rng.randint(1 << 31, 1 << 40)
+                terms[e] = rng.choice([-1, 1]) * rng.randint(1 << 63, 1 << 80)
             return MultiPoly(VT, terms)
 
         p, q = big_poly(), big_poly()
         a, b = p + q, p - q
-        assert len(a.terms) * len(b.terms) > 4096
-        assert min(abs(c) for c in a.terms.values()) >= 1 << 31
-        self.check_product(a, b, monkeypatch, rng)
+        prod = a * b
+        assert prod == naive_product(a, b)
+        for _ in range(3):
+            pt = {name: rng.randint(-3, 3) for name in VT.names}
+            assert prod.eval(pt) == a.eval(pt) * b.eval(pt)
 
-    def test_wide_exponent_keys(self, monkeypatch):
-        rng = random.Random(82)
-        vt = VarTable([f"v{i}" for i in range(10)])
+    def test_wide_exponent_fields(self):
+        x, y = MultiPoly.var(VT, "x"), MultiPoly.var(VT, "y")
+        assert (x**128 * x**127).terms == {(255, 0, 0): 1}
+        assert (x**128 * x**128).terms == {(256, 0, 0): 1}
+        p = x**255 + y**300 + 1
+        assert p * (x + y) == naive_product(p, x + y)
+        huge = x ** (2**64)
+        assert (huge * x).terms == {(2**64 + 1, 0, 0): 1}
+        assert (huge * huge).terms == {(2**65, 0, 0): 1}
+        assert (huge * (x - y)) * (x + y) == huge * (x * x - y * y)
 
-        def high_degree_poly():
-            terms = {}
-            while len(terms) < 35:
-                e = tuple(rng.randint(0, 60) for _ in vt.names)
-                terms[e] = rng.choice([-2, -1, 1, 2])
-            return MultiPoly(vt, terms)
+    def test_empty_table(self):
+        vt = VarTable([])
+        three = MultiPoly.const(vt, 3)
+        assert (three * three).terms == {(): 9}
+        assert (three * MultiPoly.zero(vt)).is_zero
 
-        p, q = high_degree_poly(), high_degree_poly()
-        a, b = p + q, p - q
-        # 7-bit exponent fields for each of 10 variables: at least 63 key bits
-        assert all(max(e[i] for e in a.terms) + max(e[i] for e in b.terms) >= 64 for i in range(10))
-        self.check_product(a, b, monkeypatch, rng)
+
+class TestNondivisibilityCertificates:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), min_size=1, max_size=6
+        ).map(lambda t: MultiPoly(VT, t)),
+        bs=st.lists(
+            st.tuples(*[st.integers(-3, 3)] * 4).map(
+                lambda t: MultiPoly(VT, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], t)))
+            ).filter(lambda b: b.total_degree() == 1),
+            min_size=1,
+            max_size=4,
+        ),
+        planted=st.integers(0, 3),
+    )
+    def test_against_exact_division(self, a, bs, planted):
+        # a certificate is a proof, for any b
+        for b, cert in zip(bs, nondivisibility_certificates(a, bs)):
+            assert not cert or try_div(a, b) is None
+        # a primitive b divides a over the integers exactly when it does over
+        # the rationals, so every non-divisor is certified but for a point
+        # where a vanishes mod PRIME, at most deg(a)/PRIME likely
+        bs = [canonical(b)[0] for b in bs]
+        assert nondivisibility_certificates(a, bs) == [try_div(a, b) is None for b in bs]
+        k = planted % len(bs)
+        assert nondivisibility_certificates(a * bs[k], bs)[k] is False
+
+    def test_lead_coefficient_divisible_by_prime(self):
+        x, y = MultiPoly.var(VT, "x"), MultiPoly.var(VT, "y")
+        b = PRIME * x + y
+        num = b * parse("x + 2*y + 3", VT)
+        # x = 0 is not on {b = 0}: no certificate, so try_div decides
+        assert nondivisibility_certificates(num, [b, x + y]) == [False, True]
+        r = RationalFunction(num, FactoredPolynomial([(b, 1)]))
+        assert r.num == parse("x + 2*y + 3", VT)
+        assert len(r.den) == 0
+
+    def test_non_linear_and_zero(self):
+        x = MultiPoly.var(VT, "x")
+        assert nondivisibility_certificates(x + 1, [x * x + 1, MultiPoly.zero(VT)]) == [False, False]
+        assert nondivisibility_certificates(MultiPoly.zero(VT), [x + 1]) == [False]
 
 
 class TestFactoredAndRational:
@@ -548,18 +610,3 @@ class TestFactoredAndRational:
         r = RationalFunction(num, den)
         assert r.num == parse("x - y", VT)
         assert r.den.as_pairs() == [("x + y", 1)]
-
-    def test_rational_add_mul_against_eval(self):
-        rng = random.Random(71)
-        a = RationalFunction(parse("x", VT), FactoredPolynomial([(parse("y + 1", VT), 1)]))
-        b = RationalFunction(parse("y", VT), FactoredPolynomial([(parse("x + 2", VT), 1)]), 3)
-        s = a + b
-        p = a * b
-        for _ in range(20):
-            pt = {n: Fraction(rng.randint(2, 9)) for n in VT.names}
-            va = Fraction(a.num.eval(pt), a.den.expand(VT).eval(pt) * a.den_const)
-            vb = Fraction(b.num.eval(pt), b.den.expand(VT).eval(pt) * b.den_const)
-            vs = Fraction(s.num.eval(pt), s.den.expand(VT).eval(pt) * s.den_const)
-            vp = Fraction(p.num.eval(pt), p.den.expand(VT).eval(pt) * p.den_const)
-            assert vs == va + vb
-            assert vp == va * vb
