@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import HypothesisError, InputError
 from .graphs import PatternGraph, condition_star, induced, is_connected
 from .lattice import edge_config, lattice_normalize, normalized_volume, subdiagram_volume
-from .matroid import _signed_euler_char, generic_euler_char
+from .matroid import generic_euler_char, signed_euler_char
 from .symcore import (
     FactoredPolynomial,
     MultiPoly,
@@ -364,7 +364,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     numerator_vars are flagged as normalized away by the integrand
     numerator.
     """
-    minors = f.all_minors()
+    minors = list(dict.fromkeys(f.all_minors()))  # each distinct minor once
     if not minors:
         raise HypothesisError("every minor of the family vanishes identically")
     chi_star = generic_euler_char(f, trials=trials, seed=seed)
@@ -384,7 +384,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
             w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
             if w is None:
                 continue
-            chi_w = _signed_euler_char(f.z_at(w), memo)
+            chi_w = signed_euler_char(f.z_at(w), memo=memo)
             drops.append(chi_star - chi_w)
             if witness is None:
                 witness = w

@@ -6,8 +6,10 @@ of the coefficient matrix prefixed with an identity block; no topology is
 involved.  Beta runs by deletion-contraction on integer matrices in a
 canonical RREF, reduced fraction-free with each row primitive and its pivot
 positive: a fixed rescaling of the unique RREF, hence a sound memo key.
-The memo lives for one call (`euler_disc` shares one across its witness
-points); nothing is cached between calls.
+Minors of rank 1 and 2 are answered in closed form and never memoized;
+only the rank >= 3 nodes go through the memo.  The memo lives for one call
+(`euler_disc` shares one across its witness points); nothing is cached
+between calls.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ __all__ = [
 ]
 
 
-def _to_fraction_rows(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def _primitive(row):
     """The row divided by its content, its leading entry made positive."""
     g = gcd(*row)
@@ -39,7 +37,7 @@ def _primitive(row):
 
 
 def _lead(row):
-    return next(j for j, x in enumerate(row) if x)
+    return row.index(next(filter(None, row)))
 
 
 def _eliminate(row, prow, c):
@@ -48,7 +46,7 @@ def _eliminate(row, prow, c):
     p, f = prow[c], row[c]
     if not f:
         return row
-    return _primitive([p * a - f * b for a, b in zip(row, prow)])
+    return _primitive(tuple(p * a - f * b for a, b in zip(row, prow)))
 
 
 def _rref_int(rows):
@@ -77,7 +75,7 @@ class LinearMatroid:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows):
-        rows = _to_fraction_rows(rows)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if rows:
             n = len(rows[0])
             if any(len(r) != n for r in rows):
@@ -103,21 +101,24 @@ class LinearMatroid:
 def _beta(rows, memo):
     """Beta of the column matroid of a canonical integer RREF.
 
-    A coloop is the pivot of a row with no other nonzero entry.  Without
-    loops, the pivot e of the first row with two nonzero entries is thus
-    the first element that is neither, and beta(M) = beta(M - e) +
-    beta(M / e).  Contracting e drops its row and column; deleting it
-    re-pivots its row by cross-multiplication.
+    Rank 1 and rank 2 are answered in closed form (`_beta_rank2`), before
+    the memo.  Above that, a coloop is the pivot of a row with no other
+    nonzero entry.  Without loops, the pivot e of the first row with two
+    nonzero entries is thus the first element that is neither, and
+    beta(M) = beta(M - e) + beta(M / e).  Contracting e drops its row and
+    column; deleting it re-pivots its row by cross-multiplication.
     """
-    if not rows:
-        return 0  # rank zero: every element is a loop
-    if len(rows[0]) == 1:
-        return 1  # a single coloop
+    if len(rows) < 2:
+        # rank 0: every element is a loop; rank 1: U(1, n), beta 1, unless
+        # a zero entry (a loop) makes it 0
+        return int(bool(rows) and 0 not in rows[0])
+    if len(rows) == 2:
+        return _beta_rank2(rows)
     hit = memo.get(rows)
     if hit is not None:
         return hit
-    i = next((i for i, row in enumerate(rows) if sum(map(bool, row)) > 1), None)
-    value = 0  # a loop, or free of rank >= 2
+    i = next((i for i, row in enumerate(rows) if row.count(0) < len(row) - 1), None)
+    value = 0  # a loop, or free of rank >= 3
     if i is not None and all(map(any, zip(*rows))):
         e = _lead(rows[i])
         contracted = [row[:e] + row[e + 1:] for row in rows]
@@ -128,6 +129,23 @@ def _beta(rows, memo):
         value = _beta(tuple(deleted), memo) + _beta(tuple(contracted), memo)
     memo[rows] = value
     return value
+
+
+def _beta_rank2(rows):
+    """Beta of a rank-2 matroid given by two integer rows: 0 with a loop,
+    else the number of parallel classes minus 2.  Adding an element
+    parallel to another leaves beta unchanged (its contraction has a
+    loop), beta(U(2, m)) = m - 2, and two classes are a direct sum, beta 0.
+    A column's class is its primitive form, first nonzero entry positive."""
+    classes = set()
+    for a, b in zip(*rows):
+        g = gcd(a, b)
+        if not g:
+            return 0
+        if a < 0 or (not a and b < 0):
+            g = -g
+        classes.add((a // g, b // g))
+    return len(classes) - 2
 
 
 def beta(m: LinearMatroid) -> int:
@@ -155,18 +173,23 @@ def beta_whitney(m: LinearMatroid) -> int:
 # Euler characteristics
 
 
-def signed_euler_char(z_rows) -> int:
+def signed_euler_char(z_rows, *, memo=None) -> int:
     """(-1)^k times the Euler characteristic of the arrangement complement
-    with coefficient matrix z (k+1 rows); equals beta of [I | z]."""
-    return _signed_euler_char(z_rows, {})
+    with coefficient matrix z (k+1 rows); equals beta of [I | z].
 
-
-def _signed_euler_char(z_rows, memo):
-    """signed_euler_char sharing the beta memo `memo` with other calls."""
-    z = _to_fraction_rows(z_rows)
-    full = LinearMatroid([[int(i == j) for j in range(len(z))] + list(row)
-                          for i, row in enumerate(z)])
-    return _beta(_rref_int(full.rows), memo)
+    memo, when given, is a beta memo dict shared with other calls, so a
+    caller evaluating many points of one family (`euler_disc`,
+    `generic_euler_char`) reuses the minors they have in common.
+    """
+    if not z_rows:
+        raise InputError("matrix must have at least one row")
+    n = len(z_rows[0])
+    if any(len(row) != n for row in z_rows):
+        raise InputError("matrix rows have mixed lengths")
+    k = len(z_rows)
+    full = [[int(i == j) for j in range(k)] + [Fraction(x) for x in row]
+            for i, row in enumerate(z_rows)]
+    return _beta(_rref_int(full), {} if memo is None else memo)
 
 
 def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int = 200) -> int:
@@ -180,7 +203,7 @@ def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int
     if trials < 2:
         raise InputError("need at least 2 trials")
     rng = random.Random(seed)
-    minors = family.all_minors()
+    minors = list(dict.fromkeys(family.all_minors()))  # each distinct minor once
     memo = {}
     values = []
     for _ in range(trials):
@@ -190,7 +213,7 @@ def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int
                 for name in family.param_names
             }
             if all(m.eval(point) != 0 for m in minors):
-                values.append(_signed_euler_char(family.z_at(point), memo))
+                values.append(signed_euler_char(family.z_at(point), memo=memo))
                 break
         else:
             raise HypothesisError(

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerdisc.cosmo import coefficient_family
 from eulerdisc.errors import HypothesisError, InputError
-from eulerdisc.graphs import PatternGraph, condition_star, induced, is_connected
+from eulerdisc.graphs import CosmoGraph, PatternGraph, condition_star, induced, is_connected
 from eulerdisc.lattice import edge_config
-from eulerdisc.matroid import signed_euler_char
+from eulerdisc.matroid import generic_euler_char, signed_euler_char
 from eulerdisc import discriminant
 from eulerdisc.discriminant import (
     DiscriminantReport,
@@ -51,6 +52,10 @@ def z1_family():
         ["0", "w1-w3", "w1+w2+w3", "1"],
     ]
     return ParamFamily.from_strings(2, ["w1", "w2", "w3"], rows)
+
+
+def triangle_family():
+    return coefficient_family(CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)]))
 
 
 def z2_family():
@@ -491,3 +496,28 @@ class TestModPScreenOracle:
                 factors[0], factors[1:], s
             )
         assert report.per_factor[0][2] == witness_point(factors[0], factors[1:], 0)
+
+
+class TestDistinctMinors:
+    """`euler_disc` and `generic_euler_char` use each distinct minor once,
+    in first-occurrence order, so repeating every minor changes nothing."""
+
+    @pytest.mark.parametrize("family", [z1_family, triangle_family])
+    def test_repeated_minors_change_nothing(self, family, monkeypatch):
+        minors = family().all_minors()
+        assert len(set(minors)) < len(minors)  # all_minors keeps duplicates
+        chi = generic_euler_char(family(), seed=0)
+        report = euler_disc(family(), seed=0).to_dict()
+
+        inputs = []
+        basis = discriminant.coprime_basis
+        monkeypatch.setattr(discriminant, "coprime_basis",
+                            lambda ps: inputs.append(list(ps)) or basis(ps))
+        plain_all_minors = ParamFamily.all_minors
+        monkeypatch.setattr(ParamFamily, "all_minors",
+                            lambda self: [m for m in plain_all_minors(self) for _ in (0, 1)])
+        repeated = family()
+        assert repeated.all_minors() == [m for m in minors for _ in (0, 1)]
+        assert generic_euler_char(repeated, seed=0) == chi
+        assert euler_disc(repeated, seed=0).to_dict() == report
+        assert inputs == [list(dict.fromkeys(minors))]

@@ -1,7 +1,8 @@
 """Tests for linear matroids and the beta invariant.
 
 Oracles: the brute-force signed Whitney rank sum over all column subsets
-for beta, and the largest nonzero minor (by `kernels.det_int`) for rank.
+for beta (also for the closed-form rank-1 and rank-2 leaves), and the
+largest nonzero minor (by `kernels.det_int`) for rank.
 """
 
 import random
@@ -204,6 +205,55 @@ class TestOracles:
         assert all(_rref_int(key) == key for key in memo)
 
 
+@st.composite
+def low_rank_matrices(draw):
+    """One or two rows over at most 9 columns, with zero columns, repeated
+    columns, negated columns and (0, b) columns with b < 0 forced in."""
+    nr = draw(st.integers(1, 2))
+    cols = [tuple(draw(entries) for _ in range(nr)) for _ in range(draw(st.integers(1, 5)))]
+    negative = nonzero.map(lambda x: -abs(x))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "negate", "axis"]), max_size=4)):
+        if kind == "zero":
+            cols.append((Fraction(0),) * nr)
+        elif kind == "repeat":
+            cols.append(draw(st.sampled_from(cols)))
+        elif kind == "negate":
+            cols.append(tuple(-x for x in draw(st.sampled_from(cols))))
+        else:
+            cols.append((Fraction(0),) * (nr - 1) + (draw(negative),))
+    cols = draw(st.permutations(cols))
+    return [list(row) for row in zip(*cols)]
+
+
+@st.composite
+def cosmo_blocks(draw):
+    """[I | z] with 4-5 rows and at most 10 columns, z one random rational
+    row over 0/1 rows, the shape of the cosmological families."""
+    nr = draw(st.integers(4, 5))
+    nc = draw(st.integers(1, 10 - nr))
+    z = [[draw(entries) for _ in range(nc)]]
+    z += [[Fraction(draw(st.integers(0, 1))) for _ in range(nc)] for _ in range(nr - 1)]
+    return z, [[Fraction(int(i == j)) for j in range(nr)] + row for i, row in enumerate(z)]
+
+
+class TestClosedFormLeaves:
+    @oracle_settings
+    @given(low_rank_matrices())
+    def test_rank_one_and_two_match_whitney(self, rows):
+        memo = {}
+        assert _beta(_rref_int(rows), memo) == beta_whitney(LinearMatroid(rows))
+        assert memo == {}  # closed-form leaves are never memoized
+
+    @oracle_settings
+    @given(cosmo_blocks())
+    def test_cosmo_blocks_match_whitney(self, block):
+        # the recursion reaches the rank-2 leaves from inside
+        z, full = block
+        expected = beta_whitney(LinearMatroid(full))
+        assert _beta(_rref_int(full), {}) == expected
+        assert signed_euler_char(z) == expected
+
+
 class TestSignedEulerChar:
     def test_single_column_parallel_to_axis(self):
         assert signed_euler_char([[0], [1], [0]]) == 0
@@ -249,6 +299,23 @@ class TestSignedEulerChar:
             for i in range(4)
         ]
         assert signed_euler_char(z) == 30
+
+    def test_shared_memo(self):
+        X1, X2, Y = Fraction(1), Fraction(2), Fraction(3)
+        z = [[X1 + X2, X1 + Y, X2 + Y], [1, 1, 0], [1, 0, 1]]
+        memo = {}
+        assert signed_euler_char(z, memo=memo) == 4
+        filled = dict(memo)
+        assert filled
+        assert signed_euler_char(z, memo=memo) == 4
+        assert memo == filled  # the second call only reads the memo
+
+    def test_input_checks(self):
+        with pytest.raises(InputError, match="mixed lengths"):
+            signed_euler_char([[1, 2], [3]])
+        with pytest.raises(InputError, match="at least one row"):
+            signed_euler_char([])
+        assert signed_euler_char([["1/2", Fraction(1, 2)]]) == 1
 
 
 class _StubFamily:
