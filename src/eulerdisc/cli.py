@@ -18,7 +18,6 @@ import click
 
 from . import __version__
 from .cosmo import (
-    coefficient_family,
     cosmo_euler_disc,
     cosmo_pad,
     cosmo_pattern,
@@ -268,13 +267,7 @@ def cosmo_disc(input_path, seed, no_witness, output):
     def body():
         doc, _ = _load(input_path, ("cosmo",))
         g = ingest_cosmo(doc)
-        if no_witness:
-            fam = coefficient_family(g)
-            y_names = [f"Y{eid}" for _, _, eid in g.edges]
-            rep = euler_disc(fam, seed=seed, numerator_vars=y_names,
-                             find_witnesses=False)
-        else:
-            rep = cosmo_euler_disc(g, seed=seed)
+        rep = cosmo_euler_disc(g, seed=seed, find_witnesses=not no_witness)
         structured = {"command": "cosmo-disc", "seed": seed}
         structured.update(rep.to_dict())
         _emit(_disc_human(rep), structured, output)

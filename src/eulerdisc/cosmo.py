@@ -9,12 +9,13 @@ arrangement, and its discriminants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
-from .graphs import CosmoGraph, PatternGraph, connected_subgraphs
+from .graphs import CosmoGraph, PatternGraph, connected_subgraphs, reachable
 from .symcore import MultiPoly, RationalFunction, VarTable
 
 __all__ = [
@@ -49,18 +50,45 @@ class LinearForm:
 # Wavefunction recursion (trees)
 
 
+# path6's bound, 184,756 (159,328 actual terms, about 124 MB peak RSS), is
+# admitted; the next 6-vertex tree's, 1,144,066, is not
+MAX_PSI_TERMS = 500_000
+
+
+def _psi_term_bound(g: CosmoGraph) -> int:
+    """C(T - 1, 2n - 2) for a tree with n vertices and T tubes (connected
+    vertex subsets): the number of monomials of degree T - (2n - 1) in the
+    2n - 1 energies, which bounds the terms of the homogeneous numerator."""
+    n = g.vertex_count
+    return math.comb(len(connected_subgraphs(g)) - 1, 2 * n - 2)
+
+
 def wavefunction(g: CosmoGraph) -> RationalFunction:
     """Flat-space wavefunction coefficient of a tree.
 
     Single vertex: 1 / X.  Otherwise 1 / (sum of the X's) times the sum
     over edges of the product of the coefficients of the two components of
     the split, with the edge's Y added to the X of each endpoint.
+
+    The result is the canonical form of the cosmological polytope
+    (Arkani-Hamed, Benincasa, Postnikov, arXiv:1709.02813): its denominator
+    is the squarefree product of the tube (facet) forms, one per connected
+    vertex subset, and its numerator is the adjoint, which none of them
+    divides.  So it is reduced as built, and nothing is cancelled.
+
+    Raises SizeLimitError before any polynomial is built when the
+    numerator may have more than MAX_PSI_TERMS terms.
     """
     if g.vertex_count > 8:
         raise SizeLimitError("wavefunction limited to 8 vertices")
     if not g.is_tree():
         raise HypothesisError(
             "the recursion is defined for trees only; this graph has a cycle"
+        )
+    bound = _psi_term_bound(g)
+    if bound > MAX_PSI_TERMS:
+        raise SizeLimitError(
+            f"wavefunction numerator may have {bound} terms (limit {MAX_PSI_TERMS})"
         )
     vt = energy_vars(g)
     one = MultiPoly.const(vt, 1)
@@ -72,9 +100,9 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
             p = p + MultiPoly.var(vt, f"Y{eid}")
         return p
 
-    # each level clears its edge terms over one common denominator and
-    # cancels once, in RationalFunction, instead of reducing after every
-    # pairwise operation
+    # each level clears its edge terms over one common denominator; that
+    # product of tube forms is squarefree and the numerator is the adjoint,
+    # so the level is already reduced
     def psi(verts, shift):
         key = (verts, tuple(sorted((v, shift[v]) for v in shift if v in verts)))
         if key in memo:
@@ -90,7 +118,7 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
             terms = []
             common: Dict[MultiPoly, int] = {}
             for i, j, eid in inner:
-                side_i = _component(verts, inner, i, eid)
+                side_i = frozenset(reachable(i, [e for e in inner if e[2] != eid]))
                 side_j = verts - side_i
                 ri = psi(side_i, _add_shift(shift, i, eid))
                 rj = psi(side_j, _add_shift(shift, j, eid))
@@ -114,23 +142,6 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         return out
 
     return psi(frozenset(range(1, g.vertex_count + 1)), {})
-
-
-def _component(verts, edges, start, removed_eid):
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for i, j, eid in edges:
-            if eid == removed_eid:
-                continue
-            if i == v and j in verts and j not in seen:
-                seen.add(j)
-                queue.append(j)
-            elif j == v and i in verts and i not in seen:
-                seen.add(i)
-                queue.append(i)
-    return frozenset(seen)
 
 
 def _add_shift(shift, v, eid):
@@ -212,12 +223,15 @@ def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
     return pad_sparse(cosmo_pattern(g))
 
 
-def cosmo_euler_disc(g: CosmoGraph, seed: int = 0) -> DiscriminantReport:
+def cosmo_euler_disc(
+    g: CosmoGraph, seed: int = 0, find_witnesses: bool = True
+) -> DiscriminantReport:
     """Euler discriminant of the physical family in the (X, Y) energies.
 
     Factors equal to a single edge energy Y are flagged as normalized away
-    by the integrand numerator.
+    by the integrand numerator.  find_witnesses is passed to `euler_disc`.
     """
     fam = coefficient_family(g)
     y_names = [f"Y{eid}" for _, _, eid in g.edges]
-    return euler_disc(fam, seed=seed, numerator_vars=y_names)
+    return euler_disc(fam, seed=seed, numerator_vars=y_names,
+                      find_witnesses=find_witnesses)

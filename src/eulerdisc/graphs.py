@@ -7,7 +7,6 @@ an edge (i, j) means entry z_ij is a free variable.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, Optional, Sequence, Tuple
@@ -21,6 +20,7 @@ __all__ = [
     "SubgraphSelection",
     "induced",
     "is_connected",
+    "reachable",
     "neighborhood",
     "saturating_matching",
     "hall_obstruction",
@@ -120,32 +120,31 @@ def induced(g: PatternGraph, I, J) -> BipartiteSubgraph:
     return BipartiteSubgraph(I, J, keep)
 
 
+def reachable(start, edges) -> set:
+    """The vertices that start reaches along edges, start included.  Each
+    edge is a sequence whose first two entries are its endpoints."""
+    adj = {}
+    for e in edges:
+        adj.setdefault(e[0], []).append(e[1])
+        adj.setdefault(e[1], []).append(e[0])
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def is_connected(g) -> bool:
     """True iff the vertex set (isolated vertices included) is one component."""
     if isinstance(g, CosmoGraph):
-        vertices = list(range(1, g.vertex_count + 1))
-        adj = {v: set() for v in vertices}
-        for i, j, _ in g.edges:
-            adj[i].add(j)
-            adj[j].add(i)
+        vertices, edges = range(1, g.vertex_count + 1), g.edges
     else:
         left, right, edges = _sides(g)
-        vertices = list(left) + list(right)
-        adj = {v: set() for v in vertices}
-        for i, j in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-    if not vertices:
-        return True
-    seen = {vertices[0]}
-    queue = deque([vertices[0]])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertices)
+        vertices = left + right
+    return not vertices or len(reachable(vertices[0], edges)) == len(vertices)
 
 
 def neighborhood(g, T) -> frozenset:
@@ -360,26 +359,9 @@ def connected_subgraphs(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 1
             inside = [e for e in g.edges if e[0] in vs and e[1] in vs]
             for esize in range(len(inside) + 1):
                 for E in combinations(inside, esize):
-                    if _connected_on(V, E):
+                    if len(reachable(V[0], E)) == size:
                         out.append(
                             SubgraphSelection(V, tuple(sorted(e[2] for e in E)))
                         )
     return out
 
-
-def _connected_on(V, E) -> bool:
-    if len(V) == 1:
-        return True
-    adj = {v: set() for v in V}
-    for i, j, _ in E:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {V[0]}
-    queue = deque([V[0]])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(V)

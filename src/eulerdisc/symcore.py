@@ -4,13 +4,14 @@ Polynomials are stored as a mapping from exponent vectors to nonzero
 arbitrary-precision integer coefficients, relative to an ordered variable
 table.  The monomial order is graded lexicographic by variable position;
 it fixes the canonical printed form and every "leading" notion below.
+A rational function is a numerator over a factored denominator, kept as
+built: this module cancels no common factor.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random as _random
 import re
 from fractions import Fraction
 from itertools import repeat
@@ -28,7 +29,6 @@ __all__ = [
     "exact_div",
     "try_div",
     "canonical",
-    "cancel_factors",
     "coprime_basis",
     "det",
     "minors",
@@ -540,92 +540,6 @@ def eval_mod_p(terms, r) -> int:
     return total % PRIME
 
 
-def nondivisibility_certificates(a: MultiPoly, bs) -> list:
-    """For each linear polynomial in bs, True when a is provably not
-    divisible by it.  False means no certificate, not divisibility.
-
-    At a random point r mod PRIME, a linear b with lead variable x_i meets
-    {b = 0} where x_i = t = -(b(r) - c*r_i)/c, c the lead coefficient, and
-    there a = sum_d S_i[d] (t/r_i)^d, S_i[d] the sum of the values at r of
-    the terms of a with x_i-power d.  A primitive b dividing a forces
-    a = 0 mod PRIME on {b = 0}, so a nonzero value certifies
-    non-divisibility.  A lead coefficient divisible by PRIME gives no
-    point of {b = 0} this way, and no certificate.  A second point is drawn
-    only for the b still uncertified after the first.
-    """
-    out = [False] * len(bs)
-    if a.is_zero:
-        return out
-    pending = []
-    for bi, b in enumerate(bs):
-        if b.is_zero or b.total_degree() != 1:
-            continue
-        lead = b.leading_exponent()
-        c = b.terms[lead] % PRIME
-        if c:
-            pending.append((bi, lead.index(1), c, residue_terms(b)))
-    if not pending:
-        return out
-    cols = list(zip(*a.terms))
-    coeffs = [c % PRIME for c in a.terms.values()]
-    rng = _random.Random(2)
-    for _ in range(2):
-        r = [rng.randint(1, PRIME - 1) for _ in cols]
-        vals = coeffs
-        for x, col in zip(r, cols):
-            pw = {d: pow(x, d, PRIME) for d in set(col)}
-            vals = [v * pw[d] % PRIME for v, d in zip(vals, col)]
-        sums = {}
-        left = []
-        for item in pending:
-            bi, i, c, b_terms = item
-            if i not in sums:
-                s = sums[i] = {}
-                for v, d in zip(vals, cols[i]):
-                    s[d] = s.get(d, 0) + v
-            # t / r_i, with t the x_i-coordinate of {b = 0} over r
-            u = (c * r[i] - eval_mod_p(b_terms, r)) * pow(c * r[i], -1, PRIME) % PRIME
-            if sum(s_d * pow(u, d, PRIME) for d, s_d in sums[i].items()) % PRIME:
-                out[bi] = True
-            else:
-                left.append(item)
-        pending = left
-        if not pending:
-            break
-    return out
-
-
-def cancel_factors(num: MultiPoly, factors):
-    """Divide num by every power of a listed factor that divides it exactly.
-
-    factors is a sequence of (polynomial, positive exponent) pairs.
-    Returns (quotient, the pairs left with a positive exponent, in input
-    order).  A modular certificate rules out most non-divisibilities
-    without attempting the division; the certificates of the later factors
-    are redrawn whenever the numerator changes.
-    """
-    items = list(factors)
-    out = []
-    certs = nondivisibility_certificates(num, [p for p, _ in items])
-    i = 0
-    while i < len(items):
-        p, e = items[i]
-        changed = False
-        while e > 0 and not certs[i]:
-            q = try_div(num, p)
-            if q is None:
-                break
-            num = q
-            e -= 1
-            changed = True
-        if e > 0:
-            out.append((p, e))
-        i += 1
-        if changed and i < len(items):
-            certs[i:] = nondivisibility_certificates(num, [q for q, _ in items[i:]])
-    return num, out
-
-
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     q = try_div(a, b)
     if q is None:
@@ -947,7 +861,12 @@ class FactoredPolynomial:
 
 
 class RationalFunction:
-    """Numerator polynomial over a factored denominator, kept gcd-reduced."""
+    """Numerator polynomial over a factored denominator, stored as given.
+
+    No common factor is cancelled: num / den is the same rational function
+    either way, and a caller that needs a reduced value builds it reduced
+    (as `cosmo.wavefunction` does).
+    """
 
     __slots__ = ("num", "den", "den_const")
 
@@ -957,22 +876,6 @@ class RationalFunction:
         self.num = num
         self.den = den
         self.den_const = den_const
-        self._reduce()
-
-    def _reduce(self):
-        if self.num.is_zero:
-            self.den = FactoredPolynomial([])
-            self.den_const = 1
-            return
-        self.num, factors = cancel_factors(self.num, self.den)
-        self.den = FactoredPolynomial(factors)
-        if self.den_const < 0:
-            self.den_const = -self.den_const
-            self.num = -self.num
-        g = math.gcd(self.num.int_content(), self.den_const)
-        if g > 1:
-            self.num = MultiPoly(self.num.vars, {e: c // g for e, c in self.num.terms.items()})
-            self.den_const //= g
 
     def __eq__(self, other):
         return (

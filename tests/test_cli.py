@@ -91,6 +91,17 @@ class TestReports:
         assert len(data["facets"]) == 5
         assert data["facets"][0]["constant"] == "X1 + X2"
 
+    def test_cosmo_disc_no_witness(self):
+        path = str(FIXTURES / "two_site_graph.yaml")
+        plain = structured_block(run_cli("cosmo-disc", path).stdout)
+        r = run_cli("cosmo-disc", path, "--no-witness")
+        assert r.returncode == 0
+        data = structured_block(r.stdout)
+        assert [f["poly"] for f in data["factors"]] == [f["poly"] for f in plain["factors"]]
+        for f in data["factors"]:
+            assert f["exponent"] == "unknown"
+            assert "witness-search-disabled" in f["flags"]
+
     def test_cosmo_disc_two_site(self):
         r = run_cli("cosmo-disc", str(FIXTURES / "two_site_graph.yaml"))
         assert r.returncode == 0
@@ -143,6 +154,26 @@ class TestExitCodes:
     def test_size_limit_is_3(self):
         r = run_cli("cosmo-psi", str(FIXTURES / "big_tree.yaml"))
         assert r.returncode == 3
+
+    def test_star6_is_3_under_memory_limit(self, tmp_path):
+        # star6's numerator would need gigabytes: under a 3 GB address-space
+        # limit it exits 3 before it allocates, never with MemoryError
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        star6 = tmp_path / "star6.yaml"
+        star6.write_text("vertices: 6\nedges:\n" + "".join(f"  - [1, {v}]\n" for v in range(2, 7)))
+        r = subprocess.run(
+            [sys.executable, "-m", "eulerdisc.cli", "cosmo-psi", str(star6)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            preexec_fn=limit,
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stderr == "size limit: wavefunction numerator may have 254186856 terms (limit 500000)\n"
 
 
 class TestWithoutNumpy:

@@ -2,6 +2,7 @@
 discriminants of the associated coefficient families."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,8 @@ from eulerdisc.cosmo import (
     cosmo_pad,
     cosmo_pattern,
     energy_vars,
+    MAX_PSI_TERMS,
+    _psi_term_bound,
     facet_forms,
     wavefunction,
 )
@@ -30,6 +33,36 @@ def three_site():
 
 def bubble():
     return CosmoGraph.from_pairs(2, [(1, 2), (1, 2)])
+
+
+def assert_coprime(psi, rng):
+    """Exact oracle: for each denominator factor f, psi.num is nonzero at a
+    rational point of {f = 0}, so f does not divide psi.num.
+
+    The point is a random integer point r with the lead variable x_i of f
+    moved onto {f = 0}; psi.num restricted to the line through r along x_i
+    is computed once per i, as its coefficient of each power of x_i.
+    """
+    num = psi.num
+    names = num.vars.names
+    r = [rng.randint(1, 10**6) for _ in names]
+    lines = {}
+    for f, _ in psi.den.factors:
+        lead = f.leading_exponent()
+        i = lead.index(1)
+        if i not in lines:
+            line = lines[i] = {}
+            for e, c in num.terms.items():
+                for j, (x, d) in enumerate(zip(r, e)):
+                    if d and j != i:
+                        c *= x**d
+                line[e[i]] = line.get(e[i], 0) + c
+        point = dict(zip(names, r))
+        point[names[i]] = 0
+        t = point[names[i]] = Fraction(-f.eval(point), f.terms[lead])
+        assert f.eval(point) == 0
+        value = sum(c * t**d for d, c in lines[i].items())
+        assert value != 0, f"{f} divides the numerator"
 
 
 def random_tree(rng, n):
@@ -84,6 +117,25 @@ class TestWavefunction:
         g = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])
         with pytest.raises(SizeLimitError):
             wavefunction(g)
+
+    def test_term_bound_gate_builds_nothing(self, monkeypatch):
+        # star6 and caterpillar6 would need gigabytes; the gate refuses
+        # them before a single polynomial exists
+        def boom(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(MultiPoly, "__init__", boom)
+        monkeypatch.setattr(MultiPoly, "_raw", boom)
+        star6 = CosmoGraph.from_pairs(6, [(1, v) for v in range(2, 7)])
+        caterpillar6 = CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
+        for g, bound in ((star6, 254_186_856), (caterpillar6, 8_436_285)):
+            assert _psi_term_bound(g) == bound
+            with pytest.raises(SizeLimitError, match=f"{bound} terms"):
+                wavefunction(g)
+
+    def test_term_bound_admits_path6(self):
+        path6 = CosmoGraph.from_pairs(6, [(v, v + 1) for v in range(1, 6)])
+        assert _psi_term_bound(path6) == 184_756 <= MAX_PSI_TERMS
 
     def test_specialization_oracle(self):
         # check the symbolic three-site answer against a direct numeric
@@ -173,12 +225,15 @@ class TestFacetForms:
                 if spans(n, cand):
                     yield CosmoGraph.from_pairs(n, list(cand))
 
+        rng = random.Random(9)
         for n in range(1, 6):
             for g in all_trees(n):
                 psi = wavefunction(g)
                 den = {p for p, _ in psi.den.as_pairs()}
                 facets = {str(f.constant) for f in facet_forms(g)}
                 assert den == facets
+                assert len(psi.num.terms) <= _psi_term_bound(g) <= MAX_PSI_TERMS
+                assert_coprime(psi, rng)
 
     def test_size_limits(self):
         path9 = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])

@@ -25,9 +25,7 @@ from eulerdisc.symcore import (
     det,
     exact_div,
     factor_multiplicity,
-    PRIME,
     minors,
-    nondivisibility_certificates,
     parse,
     poly_gcd,
     try_div,
@@ -546,49 +544,6 @@ class TestMulOracle:
         assert (three * MultiPoly.zero(vt)).is_zero
 
 
-class TestNondivisibilityCertificates:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(
-        a=st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * 3), st.integers(-9, 9), min_size=1, max_size=6
-        ).map(lambda t: MultiPoly(VT, t)),
-        bs=st.lists(
-            st.tuples(*[st.integers(-3, 3)] * 4).map(
-                lambda t: MultiPoly(VT, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)], t)))
-            ).filter(lambda b: b.total_degree() == 1),
-            min_size=1,
-            max_size=4,
-        ),
-        planted=st.integers(0, 3),
-    )
-    def test_against_exact_division(self, a, bs, planted):
-        # a certificate is a proof, for any b
-        for b, cert in zip(bs, nondivisibility_certificates(a, bs)):
-            assert not cert or try_div(a, b) is None
-        # a primitive b divides a over the integers exactly when it does over
-        # the rationals, so every non-divisor is certified but for a point
-        # where a vanishes mod PRIME, at most deg(a)/PRIME likely
-        bs = [canonical(b)[0] for b in bs]
-        assert nondivisibility_certificates(a, bs) == [try_div(a, b) is None for b in bs]
-        k = planted % len(bs)
-        assert nondivisibility_certificates(a * bs[k], bs)[k] is False
-
-    def test_lead_coefficient_divisible_by_prime(self):
-        x, y = MultiPoly.var(VT, "x"), MultiPoly.var(VT, "y")
-        b = PRIME * x + y
-        num = b * parse("x + 2*y + 3", VT)
-        # x = 0 is not on {b = 0}: no certificate, so try_div decides
-        assert nondivisibility_certificates(num, [b, x + y]) == [False, True]
-        r = RationalFunction(num, FactoredPolynomial([(b, 1)]))
-        assert r.num == parse("x + 2*y + 3", VT)
-        assert len(r.den) == 0
-
-    def test_non_linear_and_zero(self):
-        x = MultiPoly.var(VT, "x")
-        assert nondivisibility_certificates(x + 1, [x * x + 1, MultiPoly.zero(VT)]) == [False, False]
-        assert nondivisibility_certificates(MultiPoly.zero(VT), [x + 1]) == [False]
-
-
 class TestFactoredAndRational:
     def test_factored_expand_and_str(self):
         f = FactoredPolynomial([(parse("x + y", VT), 2), (parse("x", VT), 1)])
@@ -604,9 +559,12 @@ class TestFactoredAndRational:
         f = FactoredPolynomial([(parse("x*y", VT), 2)])
         assert str(f) == "(x*y)^2"
 
-    def test_rational_reduction(self):
+    def test_rational_stored_as_given(self):
+        # no cancellation: the common factor x + y stays on both sides
         num = parse("(x + y)*(x - y)", VT)
         den = FactoredPolynomial([(parse("x + y", VT), 2)])
-        r = RationalFunction(num, den)
-        assert r.num == parse("x - y", VT)
-        assert r.den.as_pairs() == [("x + y", 1)]
+        r = RationalFunction(num, den, -2)
+        assert (r.num, r.den, r.den_const) == (num, den, -2)
+        assert str(r) == "(x^2 - y^2) / (-2 * (x + y)^2)"
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(num, den, 0)
