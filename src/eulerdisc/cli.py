@@ -34,6 +34,7 @@ from .formats import (
     ingest_pattern,
     load_document,
 )
+from .graphs import is_connected
 from .lattice import edge_config, f_vector, lattice_normalize, normalized_volume
 from .matroid import signed_euler_char
 
@@ -72,18 +73,19 @@ def _run(body):
         sys.exit(3)
 
 
-def _pattern_diagnose(g):
-    """Raise with a named precondition when the pattern is unusable."""
-    from .graphs import is_connected
-
+def _load_pattern(path):
+    """The pattern graph of a pattern or energy-graph document, which must
+    be connected."""
+    doc, kind = _load(path, ("pattern", "cosmo"))
+    if kind == "pattern":
+        g = ingest_pattern(doc)
+    else:
+        g = cosmo_pattern(ingest_cosmo(doc))
     if not is_connected(g):
         raise HypothesisError(
             "precondition violated: pattern graph must be connected"
         )
-
-
-def _disc_human(rep):
-    return str(rep).splitlines()
+    return g
 
 
 @click.group()
@@ -101,12 +103,7 @@ def pad(input_path, check_degree, output):
     """Principal A-determinant of a bipartite pattern (or energy graph)."""
 
     def body():
-        doc, kind = _load(input_path, ("pattern", "cosmo"))
-        if kind == "pattern":
-            g = ingest_pattern(doc)
-        else:
-            g = cosmo_pattern(ingest_cosmo(doc))
-        _pattern_diagnose(g)
+        g = _load_pattern(input_path)
         e = pad_sparse(g)
         lines = ["principal A-determinant", f"E_A = {e}",
                  f"degree = {e.total_degree()}", f"factors = {len(e.factors)}"]
@@ -138,7 +135,7 @@ def euler_disc_cmd(input_path, seed, no_witness, output):
         rep = euler_disc(fam, seed=seed, find_witnesses=not no_witness)
         structured = {"command": "euler-disc", "seed": seed}
         structured.update(rep.to_dict())
-        _emit(_disc_human(rep), structured, output)
+        _emit(str(rep).splitlines(), structured, output)
 
     _run(body)
 
@@ -172,12 +169,7 @@ def polytope(input_path, max_points, output):
     """Dimension, normalized volume, and f-vector of an edge polytope."""
 
     def body():
-        doc, kind = _load(input_path, ("pattern", "cosmo"))
-        if kind == "pattern":
-            g = ingest_pattern(doc)
-        else:
-            g = cosmo_pattern(ingest_cosmo(doc))
-        _pattern_diagnose(g)
+        g = _load_pattern(input_path)
         c = edge_config(g)
         d, _ = lattice_normalize(c)
         vol = normalized_volume(c)
@@ -270,7 +262,7 @@ def cosmo_disc(input_path, seed, no_witness, output):
         rep = cosmo_euler_disc(g, seed=seed, find_witnesses=not no_witness)
         structured = {"command": "cosmo-disc", "seed": seed}
         structured.update(rep.to_dict())
-        _emit(_disc_human(rep), structured, output)
+        _emit(str(rep).splitlines(), structured, output)
 
     _run(body)
 

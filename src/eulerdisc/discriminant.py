@@ -93,7 +93,7 @@ def pad_sparse(g: PatternGraph) -> FactoredPolynomial:
                     continue
                 factor = canonical(minor(I, tuple(jcols[j] for j in J)))[0]
                 merged[factor] = merged.get(factor, 0) + exponent
-    return FactoredPolynomial(sorted(merged.items(), key=lambda fe: str(fe[0])))
+    return FactoredPolynomial(merged.items())
 
 
 def pad_dense(k: int, n: int) -> FactoredPolynomial:

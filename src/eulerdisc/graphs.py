@@ -310,6 +310,9 @@ class CosmoGraph:
         counts = {}
         for p in pairs:
             counts[p] = counts.get(p, 0) + 1
+        parallel = sum(k for k in counts.values() if k > 1)
+        if parallel > 26:
+            raise InputError(f"{parallel} parallel edges: letter ids a-z allow at most 26")
         letters = iter("abcdefghijklmnopqrstuvwxyz")
         edges = []
         for p in pairs:

@@ -1,38 +1,48 @@
-"""Exact integer determinants for lattice geometry.
+"""Exact integer determinant and adjugate for lattice geometry.
 
-`det_int` works on Python integers, so entries and intermediate minors
-never overflow.  The lattice code calls it for the volume and the
-cofactor facet normals of the first simplex of each placing
-triangulation.
+`det_adj` works on Python integers, so entries and intermediate minors
+never overflow.  The lattice code calls it once per placing
+triangulation: the first simplex takes its volume from the determinant
+and the normals of all its facets from the columns of the adjugate.
 """
 
 from __future__ import annotations
 
-__all__ = ["det_int"]
+__all__ = ["det_adj"]
 
 
-def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+def det_adj(rows):
+    """Determinant and adjugate of a square integer matrix.
+
+    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss 1968):
+    every entry after step k is a (k+1)-minor of [M | I], so each division
+    is exact, and the last step leaves det(PM) I on the left and
+    det(PM) M^-1 on the right, for the row permutation P of the pivoting.
+    Returns (det M, adj M) with adj M a list of rows, so that
+    M adj M = det M I; a singular matrix gives (0, None).
+    """
     m = [list(map(int, r)) for r in rows]
     n = len(m)
-    if n == 0:
-        return 1
     if any(len(r) != n for r in m):
         raise ValueError("matrix is not square")
+    for i, r in enumerate(m):
+        r.extend(int(i == j) for j in range(n))
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            a = row[k]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, [[sign * x for x in r[n:]] for r in m]

@@ -13,8 +13,10 @@ import math
 from typing import Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, SizeLimitError
-from .graphs import BipartiteSubgraph, PatternGraph, condition_star, contract, induced, is_connected
-from .kernels import det_int
+from .graphs import (
+    BipartiteSubgraph, PatternGraph, condition_star, contract, induced, is_connected, star_violation
+)
+from .kernels import det_adj
 
 __all__ = [
     "PointConfiguration",
@@ -189,28 +191,6 @@ def lattice_normalize(c: PointConfiguration):
 # Placing triangulation: volume and facets
 
 
-def _normal(points) -> tuple:
-    """Primitive normal of the hyperplane through d points in Z^d.
-
-    Components are the signed maximal minors of the (d-1) x d matrix of
-    differences (a generalized cross product).  Returns the zero vector
-    when the points do not span a hyperplane.
-    """
-    pts = [list(map(int, p)) for p in points]
-    d = len(pts[0])
-    if len(pts) != d:
-        raise ValueError("need exactly d points in dimension d")
-    diffs = [[pts[i][j] - pts[0][j] for j in range(d)] for i in range(1, d)]
-    normal = []
-    for j in range(d):
-        minor = [[row[c] for c in range(d) if c != j] for row in diffs]
-        normal.append((-1) ** j * det_int(minor))
-    g = math.gcd(*normal)
-    if g > 1:
-        normal = [x // g for x in normal]
-    return tuple(normal)
-
-
 def _placing(pts, d):
     """Placing (beneath-beyond) triangulation of lattice points spanning Z^d.
 
@@ -225,10 +205,11 @@ def _placing(pts, d):
     the hull; the area is the simplex's normalized volume in the lattice
     of its hyperplane.
 
-    Only the first simplex needs cofactor normals and a determinant.  A
-    new boundary simplex takes its normal from the two boundary simplices
-    at its horizon ridge, and a simplex has volume area x lattice height
-    over any of its facets.
+    Only the first simplex needs linear algebra: one `det_adj` of its edge
+    vectors gives its volume and, from the adjugate's columns, the normals
+    and areas of all its facets.  A new boundary simplex takes its normal
+    from the two boundary simplices at its horizon ridge, and a simplex has
+    volume area x lattice height over any of its facets.
     """
     if d == 0:
         return 1, {}
@@ -241,17 +222,6 @@ def _placing(pts, d):
             start.append(i)
     if len(start) < d + 1:
         raise InputError("configuration is not full-dimensional")
-    # (d+1) times the centroid of the first simplex: integral, and interior
-    # to every hull the placing grows from it.
-    inner = [sum(unique[i][k] for i in start) for k in range(d)]
-
-    def oriented(simplex):
-        normal = _normal([unique[i] for i in simplex])
-        offset = sum(a * b for a, b in zip(normal, unique[simplex[0]]))
-        if sum(a * b for a, b in zip(normal, inner)) > (d + 1) * offset:
-            return tuple(-x for x in normal), -offset
-        return normal, offset
-
     boundary = {}
     owners = {}  # ridge -> the two boundary simplices that contain it
 
@@ -260,13 +230,22 @@ def _placing(pts, d):
         for k in range(d):
             owners.setdefault(f[:k] + f[k + 1:], []).append(f)
 
+    # With rows v_k - v_0 in M, M adj M = det M I: column k of adj M is
+    # normal to every row but the k-th, so to the facet opposite v_(k+1),
+    # and the sum of the columns is normal to the facet opposite v_0.
+    # Each meets its opposite vertex at height det M, so the sign of det M
+    # orients them all, and a column with gcd g leaves that vertex at
+    # lattice height |det M| / g: the facet's area is g.
     apex = unique[start[0]]
-    volume = abs(det_int([[a - b for a, b in zip(unique[i], apex)] for i in start[1:]]))
-    for k, v in enumerate(start):
+    det, adj = det_adj([[a - b for a, b in zip(unique[i], apex)] for i in start[1:]])
+    volume = abs(det)
+    sign = 1 if det > 0 else -1
+    normals = [[sign * sum(r) for r in adj]] + [[-sign * x for x in c] for c in zip(*adj)]
+    for k, normal in enumerate(normals):
         f = tuple(start[:k] + start[k + 1:])
-        normal, offset = oriented(f)
-        lift = offset - sum(a * b for a, b in zip(normal, unique[v]))
-        add(f, (normal, offset, volume // lift))
+        area = math.gcd(*normal)
+        normal = tuple(x // area for x in normal)
+        add(f, (normal, sum(a * b for a, b in zip(normal, unique[f[0]])), area))
     placed = set(start)
     for i, p in enumerate(unique):
         if i in placed:
@@ -403,8 +382,6 @@ def subdiagram_volume(g: PatternGraph, h: BipartiteSubgraph) -> int:
     if induced(g, h.left, h.right).edges != h.edges:
         raise HypothesisError("subgraph must be induced")
     if not condition_star(h):
-        from .graphs import star_violation
-
         w = star_violation(h)
         detail = f"violating W = {sorted(w)}" if w else "single row with no edge"
         raise HypothesisError(

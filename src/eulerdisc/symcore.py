@@ -799,16 +799,15 @@ class FactoredPolynomial:
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        seen = []
+        seen = {}
         for p, e in factors:
             if e <= 0:
                 raise ValueError("exponents must be positive")
             q = canonical(p)[0]
-            for other, _ in seen:
-                if other == q:
-                    raise ValueError(f"repeated factor {q}")
-            seen.append((q, int(e)))
-        self.factors = tuple(sorted(seen, key=lambda fe: _basis_key(fe[0])))
+            if q in seen:
+                raise ValueError(f"repeated factor {q}")
+            seen[q] = int(e)
+        self.factors = tuple(sorted(seen.items(), key=lambda fe: _basis_key(fe[0])))
 
     def __iter__(self):
         return iter(self.factors)

@@ -16,7 +16,7 @@ from eulerdisc.graphs import (
     hall_obstruction,
     saturating_matching,
 )
-from eulerdisc.kernels import det_int
+from eulerdisc.kernels import det_adj
 from eulerdisc.lattice import (
     edge_config,
     f_vector,
@@ -282,7 +282,7 @@ def test_criterion_6_property_suites():
                                 ]
                                 for i in range(l)
                             ]
-                            if det_int(m) != 0:
+                            if det_adj(m)[0] != 0:
                                 seen_nonzero = True
                                 break
                         assert seen_nonzero == matched

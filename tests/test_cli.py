@@ -2,11 +2,18 @@
 determinism, and the exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import eulerdisc
+
 FIXTURES = Path(__file__).parent / "fixtures"
+# Child processes import the same eulerdisc as this one, also when it comes
+# from pytest's `pythonpath` setting rather than PYTHONPATH or an install.
+SRC = str(Path(eulerdisc.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*args, timeout=300):
@@ -15,6 +22,7 @@ def run_cli(*args, timeout=300):
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=ENV,
     )
 
 
@@ -146,6 +154,14 @@ class TestExitCodes:
         r = run_cli("pad", str(FIXTURES / "bad_kind.yaml"))
         assert r.returncode == 1
 
+    def test_27_parallel_edges_is_1(self, tmp_path):
+        bubble = tmp_path / "bubble27.yaml"
+        bubble.write_text("vertices: 2\nedges:\n" + "  - [1, 2]\n" * 27)
+        r = run_cli("cosmo-facets", str(bubble))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: 27 parallel edges: letter ids a-z allow at most 26\n"
+
     def test_hypothesis_violation_is_2(self):
         r = run_cli("pad", str(FIXTURES / "disconnected_pattern.yaml"))
         assert r.returncode == 2
@@ -170,6 +186,7 @@ class TestExitCodes:
             capture_output=True,
             text=True,
             timeout=300,
+            env=ENV,
             preexec_fn=limit,
         )
         assert r.returncode == 3, r.stderr
@@ -195,6 +212,7 @@ class TestWithoutNumpy:
                 capture_output=True,
                 text=True,
                 timeout=300,
+                env=ENV,
             )
             assert plain.returncode == 0
             assert blocked.returncode == 0, blocked.stderr

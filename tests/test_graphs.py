@@ -210,6 +210,14 @@ class TestCosmoGraph:
         assert not bubble.is_tree()
         assert path.is_tree()
 
+    def test_parallel_edge_letters(self):
+        # parallel edges of all pairs share the 26 letter ids a..z
+        g = CosmoGraph.from_pairs(3, [(1, 2)] * 13 + [(3, 2)] * 13)
+        assert [e[2] for e in g.edges] == list("abcdefghijklmnopqrstuvwxyz")
+        assert len(CosmoGraph.from_pairs(2, [(1, 2)] * 26).edges) == 26
+        with pytest.raises(InputError, match="27 parallel edges"):
+            CosmoGraph.from_pairs(3, [(1, 2)] * 14 + [(2, 3)] * 13)
+
     def test_validation(self):
         with pytest.raises(InputError):
             CosmoGraph(2, [(1, 2, "a"), (1, 2, "a")])

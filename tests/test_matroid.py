@@ -2,7 +2,7 @@
 
 Oracles: the brute-force signed Whitney rank sum over all column subsets
 for beta (also for the closed-form rank-1 and rank-2 leaves), and the
-largest nonzero minor (by `kernels.det_int`) for rank.
+largest nonzero minor (by `kernels.det_adj`) for rank.
 """
 
 import random
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, InputError
-from eulerdisc.kernels import det_int
+from eulerdisc.kernels import det_adj
 from eulerdisc.matroid import (
     LinearMatroid,
     _beta,
@@ -161,7 +161,7 @@ def minor_rank(rows, cols):
     for k in range(min(len(rows), len(cols)), 0, -1):
         for rs in combinations(range(len(rows)), k):
             for cs in combinations(cols, k):
-                if det_int([[int(ints[i][j]) for j in cs] for i in rs]):
+                if det_adj([[int(ints[i][j]) for j in cs] for i in rs])[0]:
                     return k
     return 0
 
