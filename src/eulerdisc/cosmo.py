@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, connected_subgraphs, reachable
-from .symcore import MultiPoly, RationalFunction, VarTable
+from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _unpack
 
 __all__ = [
     "energy_vars",
@@ -63,6 +63,13 @@ def _psi_term_bound(g: CosmoGraph) -> int:
     return math.comb(len(connected_subgraphs(g)) - 1, 2 * n - 2)
 
 
+def _psi_width(g: CosmoGraph) -> int:
+    """Bytes per exponent field of the keys `wavefunction` packs: enough for
+    T - (2n - 1), the degree of the numerator."""
+    degree = len(connected_subgraphs(g)) - (2 * g.vertex_count - 1)
+    return max(1, (degree.bit_length() + 7) // 8)
+
+
 def wavefunction(g: CosmoGraph) -> RationalFunction:
     """Flat-space wavefunction coefficient of a tree.
 
@@ -90,58 +97,64 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         raise SizeLimitError(
             f"wavefunction numerator may have {bound} terms (limit {MAX_PSI_TERMS})"
         )
+    # The recursion runs on packed keys (see `symcore._mul_into`), unpacked
+    # once at the end.  Each numerator it builds, a subtree's or part of a
+    # level's sum, has degree at most T - (2n - 1): a subtree on m vertices
+    # with T' tubes has degree T' - (2m - 1), and each vertex outside it
+    # adds at least two tubes.  No exponent exceeds that, so no field carries.
     vt = energy_vars(g)
-    one = MultiPoly.const(vt, 1)
+    w = _psi_width(g)
+    unit = {name: 1 << (8 * w * i) for i, name in enumerate(vt.names)}
+    forms: Dict[int, Dict[int, int]] = {}  # sum of a tube form's units -> the form
     memo: Dict = {}
 
-    def x_of(v, shift):
-        p = MultiPoly.var(vt, f"X{v}")
-        for eid in shift.get(v, ()):
-            p = p + MultiPoly.var(vt, f"Y{eid}")
-        return p
+    def form(units):
+        forms.setdefault(sum(units), dict.fromkeys(units, 1))
+        return sum(units)
 
-    # each level clears its edge terms over one common denominator; that
-    # product of tube forms is squarefree and the numerator is the adjoint,
-    # so the level is already reduced
+    def x_of(v, shift):
+        return [unit[f"X{v}"]] + [unit[f"Y{eid}"] for eid in shift.get(v, ())]
+
+    # each level clears its edge terms over one common denominator, the set
+    # of its tube forms (the two sides of a split have disjoint X's); that
+    # product is squarefree and the numerator is the adjoint, so the level
+    # is already reduced.  No coefficient is negative, so no sum is zero.
     def psi(verts, shift):
         key = (verts, tuple(sorted((v, shift[v]) for v in shift if v in verts)))
         if key in memo:
             return memo[key]
         if len(verts) == 1:
-            v = next(iter(verts))
-            out = RationalFunction(one, FactoredPolynomial([(x_of(v, shift), 1)]))
+            out = {0: 1}, frozenset([form(x_of(next(iter(verts)), shift))])
         else:
-            total = MultiPoly.zero(vt)
-            for v in verts:
-                total = total + x_of(v, shift)
             inner = [e for e in g.edges if e[0] in verts and e[1] in verts]
             terms = []
-            common: Dict[MultiPoly, int] = {}
             for i, j, eid in inner:
                 side_i = frozenset(reachable(i, [e for e in inner if e[2] != eid]))
-                side_j = verts - side_i
-                ri = psi(side_i, _add_shift(shift, i, eid))
-                rj = psi(side_j, _add_shift(shift, j, eid))
-                den = dict(ri.den.factors)
-                for p, e in rj.den:
-                    den[p] = den.get(p, 0) + e
-                terms.append((ri.num * rj.num, den))
-                for p, e in den.items():
-                    if common.get(p, 0) < e:
-                        common[p] = e
-            num = MultiPoly.zero(vt)
+                num_i, den_i = psi(side_i, _add_shift(shift, i, eid))
+                num_j, den_j = psi(verts - side_i, _add_shift(shift, j, eid))
+                if len(num_i) < len(num_j):
+                    num_i, num_j = num_j, num_i
+                terms.append((_mul_into({}, num_i, num_j), den_i | den_j))
+            common = frozenset().union(*(den for _, den in terms))
+            # each term times the forms missing from its denominator; the
+            # last product goes straight into the level's sum
+            num: Dict[int, int] = {}
             for tn, den in terms:
-                for p, e in common.items():
-                    missing = e - den.get(p, 0)
-                    for _ in range(missing):
-                        tn = tn * p
-                num = num + tn
-            common[total] = common.get(total, 0) + 1
-            out = RationalFunction(num, FactoredPolynomial(common.items()))
+                missing = [forms[p] for p in common - den]
+                last = missing.pop() if missing else {0: 1}
+                for p in missing:
+                    tn = _mul_into({}, tn, p)
+                _mul_into(num, tn, last)
+            out = num, common | {form([u for v in verts for u in x_of(v, shift)])}
         memo[key] = out
         return out
 
-    return psi(frozenset(range(1, g.vertex_count + 1)), {})
+    num, den = psi(frozenset(range(1, g.vertex_count + 1)), {})
+
+    def poly(packed):
+        return MultiPoly._raw(vt, dict(zip(_unpack(packed, len(vt), w), packed.values())))
+
+    return RationalFunction(poly(num), FactoredPolynomial((poly(forms[p]), 1) for p in den))
 
 
 def _add_shift(shift, v, eid):

@@ -79,6 +79,21 @@ def _grlex_key(exps):
 # its factors.
 
 
+def _mul_into(out, big, small):
+    """Add the product of big and small into out and return out.
+
+    All three map packed keys of one width to coefficients, and that width
+    holds every exponent of the result.  Zero sums stay in out.  The loop
+    over big is the inner one, so big should be the larger operand.
+    """
+    get = out.get
+    for k2, c2 in small.items():
+        for k1, c1 in big.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def _pack(exps, w):
     """The keys of the exponent tuples exps."""
     if w == 1:
@@ -237,17 +252,11 @@ class MultiPoly:
             return MultiPoly.zero(self.vars)
         top = max(map(max, zip(*big)), default=0) + max(map(max, zip(*small)), default=0)
         w = max(1, (top.bit_length() + 7) // 8)
-        packed = list(zip(_pack(big, w), big.values()))
-        out = {}
-        get = out.get
-        for k2, c2 in zip(_pack(small, w), small.values()):
-            for k1, c1 in packed:
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
+        packed_big = dict(zip(_pack(big, w), big.values()))
+        out = _mul_into({}, packed_big, dict(zip(_pack(small, w), small.values())))
         for k in [k for k, c in out.items() if not c]:
             del out[k]
-        nv = len(self.vars)
-        return MultiPoly._raw(self.vars, dict(zip(_unpack(out, nv, w), out.values())))
+        return MultiPoly._raw(self.vars, dict(zip(_unpack(out, len(self.vars), w), out.values())))
 
     __rmul__ = __mul__
 
@@ -726,17 +735,6 @@ def _basis_key(p: MultiPoly):
     return (p.total_degree(), tuple(-x for x in p.leading_exponent()), str(p))
 
 
-def factor_multiplicity(p: MultiPoly, factor: MultiPoly) -> int:
-    """Largest e with factor^e dividing p."""
-    e = 0
-    while True:
-        q = try_div(p, factor)
-        if q is None:
-            return e
-        p = q
-        e += 1
-
-
 # ---------------------------------------------------------------------------
 # Determinants
 
@@ -823,17 +821,6 @@ class FactoredPolynomial:
 
     def total_degree(self) -> int:
         return sum(p.total_degree() * e for p, e in self.factors)
-
-    def expand(self, vars=None) -> MultiPoly:
-        if not self.factors:
-            if vars is None:
-                raise ValueError("cannot expand an empty product without a VarTable")
-            return MultiPoly.const(vars, 1)
-        vars = self.factors[0][0].vars
-        out = MultiPoly.const(vars, 1)
-        for p, e in self.factors:
-            out = out * p**e
-        return out
 
     def factor_set(self):
         return frozenset(p for p, _ in self.factors)

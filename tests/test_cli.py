@@ -162,6 +162,15 @@ class TestExitCodes:
         assert r.stdout == ""
         assert r.stderr == "error: 27 parallel edges: letter ids a-z allow at most 26\n"
 
+    def test_edge_with_id_is_1(self, tmp_path):
+        # parallel edges get letter ids automatically; an edge cannot name one
+        graph = tmp_path / "edge_id.yaml"
+        graph.write_text("vertices: 2\nedges:\n  - [1, 2, x]\n")
+        r = run_cli("cosmo-facets", str(graph))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: edges: bad edge [1, 2, 'x'], expected [i, j]\n"
+
     def test_hypothesis_violation_is_2(self):
         r = run_cli("pad", str(FIXTURES / "disconnected_pattern.yaml"))
         assert r.returncode == 2

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from eulerdisc.errors import HypothesisError, SizeLimitError
-from eulerdisc.graphs import CosmoGraph
+from eulerdisc.graphs import CosmoGraph, connected_subgraphs
 from eulerdisc.cosmo import (
     coefficient_family,
     cosmo_euler_disc,
@@ -17,6 +17,7 @@ from eulerdisc.cosmo import (
     energy_vars,
     MAX_PSI_TERMS,
     _psi_term_bound,
+    _psi_width,
     facet_forms,
     wavefunction,
 )
@@ -46,6 +47,7 @@ def assert_coprime(psi, rng):
     num = psi.num
     names = num.vars.names
     r = [rng.randint(1, 10**6) for _ in names]
+    powers = [[x**d for d in range(num.total_degree() + 1)] for x in r]
     lines = {}
     for f, _ in psi.den.factors:
         lead = f.leading_exponent()
@@ -53,9 +55,9 @@ def assert_coprime(psi, rng):
         if i not in lines:
             line = lines[i] = {}
             for e, c in num.terms.items():
-                for j, (x, d) in enumerate(zip(r, e)):
+                for j, d in enumerate(e):
                     if d and j != i:
-                        c *= x**d
+                        c *= powers[j][d]
                 line[e[i]] = line.get(e[i], 0) + c
         point = dict(zip(names, r))
         point[names[i]] = 0
@@ -63,6 +65,84 @@ def assert_coprime(psi, rng):
         assert f.eval(point) == 0
         value = sum(c * t**d for d, c in lines[i].items())
         assert value != 0, f"{f} divides the numerator"
+
+
+def psi_value(g, point):
+    """Independent oracle: the edge-splitting recursion of the tree g in
+    Fractions, at the energies point[f"X{v}"] and point[f"Y{eid}"].
+
+    One vertex gives 1/X; more give 1/(the sum of their X) times the sum
+    over their edges of the product of the two sides' values, with the
+    edge's Y added to the X of each endpoint.
+    """
+
+    def rec(verts, xs):
+        if len(verts) == 1:
+            return 1 / Fraction(xs[next(iter(verts))])
+        inner = [(i, j, eid) for i, j, eid in g.edges if i in verts and j in verts]
+        total = Fraction(0)
+        for i, j, eid in inner:
+            side = {i}
+            grew = True
+            while grew:
+                grew = False
+                for a, b, other in inner:
+                    if other != eid and (a in side) != (b in side):
+                        side |= {a, b}
+                        grew = True
+            xi = {v: x for v, x in xs.items() if v in side}
+            xj = {v: x for v, x in xs.items() if v not in side}
+            xi[i] += point[f"Y{eid}"]
+            xj[j] += point[f"Y{eid}"]
+            total += rec(frozenset(xi), xi) * rec(frozenset(xj), xj)
+        return total / sum(xs.values())
+
+    xs = {v: point[f"X{v}"] for v in range(1, g.vertex_count + 1)}
+    return rec(frozenset(xs), xs)
+
+
+def psi_at(psi, point):
+    """psi.num / (psi.den_const * the product of the denominator factors)."""
+    den = Fraction(psi.den_const)
+    for p, e in psi.den.factors:
+        den *= p.eval(point) ** e
+    return psi.num.eval(point) / den
+
+
+def spans(n, edges):
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop()
+        for a, b in edges:
+            w = b if a == v else a if b == v else None
+            if w is not None and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == n
+
+
+def all_trees(n):
+    """Every labelled tree on the vertices 1..n."""
+    if n == 1:
+        yield CosmoGraph.from_pairs(1, [])
+        return
+    verts = range(1, n + 1)
+    for cand in combinations(combinations(verts, 2), n - 1):
+        if spans(n, cand):
+            yield CosmoGraph.from_pairs(n, list(cand))
+
+
+def path6():
+    return CosmoGraph.from_pairs(6, [(v, v + 1) for v in range(1, 6)])
+
+
+@pytest.fixture(scope="module")
+def tree_psis():
+    """(g, wavefunction(g)) for all 146 labelled trees on up to 5 vertices,
+    then the 6-path: each wavefunction is built once for the module."""
+    graphs = [g for n in range(1, 6) for g in all_trees(n)] + [path6()]
+    return [(g, wavefunction(g)) for g in graphs]
 
 
 def random_tree(rng, n):
@@ -201,39 +281,35 @@ class TestFacetForms:
         }
         assert str(forms[0].constant) == "X1 + X2"
 
-    def test_tree_facets_match_wavefunction_denominator(self):
-        # for every tree on up to 5 vertices, the facet constants at
-        # alpha-shift zero are exactly the denominator factors of psi
-        def spans(n, edges):
-            seen = {1}
-            frontier = [1]
-            while frontier:
-                v = frontier.pop()
-                for a, b in edges:
-                    w = b if a == v else a if b == v else None
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return len(seen) == n
-
-        def all_trees(n):
-            if n == 1:
-                yield CosmoGraph.from_pairs(1, [])
-                return
-            verts = range(1, n + 1)
-            for cand in combinations(combinations(verts, 2), n - 1):
-                if spans(n, cand):
-                    yield CosmoGraph.from_pairs(n, list(cand))
-
+    def test_tree_facets_match_wavefunction_denominator(self, tree_psis):
+        # for every tree on up to 5 vertices, and the 6-path, the facet
+        # constants at alpha-shift zero are exactly the denominator factors
+        # of psi, and psi has the value of the recursion at a positive point
         rng = random.Random(9)
-        for n in range(1, 6):
-            for g in all_trees(n):
-                psi = wavefunction(g)
-                den = {p for p, _ in psi.den.as_pairs()}
-                facets = {str(f.constant) for f in facet_forms(g)}
-                assert den == facets
-                assert len(psi.num.terms) <= _psi_term_bound(g) <= MAX_PSI_TERMS
+        assert len(tree_psis) == 147
+        for g, psi in tree_psis:
+            den = {p for p, _ in psi.den.as_pairs()}
+            facets = {str(f.constant) for f in facet_forms(g)}
+            assert den == facets
+            assert len(psi.num.terms) <= _psi_term_bound(g) <= MAX_PSI_TERMS
+            point = {name: rng.randint(1, 50) for name in psi.num.vars.names}
+            assert psi_at(psi, point) == psi_value(g, point)
+            if g.vertex_count <= 5:
                 assert_coprime(psi, rng)
+
+    def test_packed_width_holds_numerator_degree(self, tree_psis):
+        # the gate admits every tree on up to 5 vertices and, of the
+        # 6-vertex trees, only the paths; each numerator is homogeneous of
+        # degree T - (2n - 1), which the width derived from T holds
+        admitted6 = [g for g in all_trees(6) if _psi_term_bound(g) <= MAX_PSI_TERMS]
+        assert len(admitted6) == 360
+        for g in admitted6:
+            assert max(sum(v in e[:2] for e in g.edges) for v in range(1, 7)) == 2
+        for g, psi in tree_psis:
+            n = g.vertex_count
+            degree = len(connected_subgraphs(g)) - (2 * n - 1)
+            assert {sum(e) for e in psi.num.terms} == {degree}
+            assert degree < 256 ** _psi_width(g)
 
     def test_size_limits(self):
         path9 = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])

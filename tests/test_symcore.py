@@ -20,16 +20,19 @@ from eulerdisc.symcore import (
     MultiPoly,
     RationalFunction,
     VarTable,
+    _mul_into,
+    _pack,
+    _unpack,
     canonical,
     coprime_basis,
     det,
     exact_div,
-    factor_multiplicity,
     minors,
     parse,
     poly_gcd,
     try_div,
 )
+from oracles import expand, factor_multiplicity
 
 VT = VarTable(["x", "y", "z"])
 
@@ -543,11 +546,33 @@ class TestMulOracle:
         assert (three * three).terms == {(): 9}
         assert (three * MultiPoly.zero(vt)).is_zero
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=poly_pairs(), data=st.data())
+    def test_mul_into_adds_to_what_out_holds(self, pair, data):
+        # _mul_into(out, a, b) on packed dicts leaves c + a*b in an out that
+        # held c, whichever operand is big; c = -a*b cancels every sum
+        a, b = pair
+        ab = naive_product(a, b)
+        c = data.draw(st.sampled_from([MultiPoly.zero(a.vars), a, b, -ab, b - ab]))
+        def top(p):
+            return max((x for e in p.terms for x in e), default=0)
+
+        w = max(1, (max(top(c), top(a) + top(b)).bit_length() + 7) // 8)
+
+        def packed(p):
+            return dict(zip(_pack(p.terms, w), p.terms.values()))
+
+        for big, small in ((a, b), (b, a)):
+            out = packed(c)
+            assert _mul_into(out, packed(big), packed(small)) is out
+            got = {e: v for e, v in zip(_unpack(out, len(a.vars), w), out.values()) if v}
+            assert MultiPoly(a.vars, got) == c + ab
+
 
 class TestFactoredAndRational:
     def test_factored_expand_and_str(self):
         f = FactoredPolynomial([(parse("x + y", VT), 2), (parse("x", VT), 1)])
-        assert f.expand() == parse("(x + y)^2 * x", VT)
+        assert expand(f) == parse("(x + y)^2 * x", VT)
         assert str(f) == "x * (x + y)^2"
         assert f.total_degree() == 3
 
