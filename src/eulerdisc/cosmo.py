@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
-from .graphs import CosmoGraph, PatternGraph, connected_subgraphs, reachable
+from .graphs import CosmoGraph, PatternGraph, automorphisms, connected_subgraphs, reachable
 from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _unpack
 
 __all__ = [
@@ -242,9 +242,16 @@ def cosmo_euler_disc(
     """Euler discriminant of the physical family in the (X, Y) energies.
 
     Factors equal to a single edge energy Y are flagged as normalized away
-    by the integrand numerator.  find_witnesses is passed to `euler_disc`.
+    by the integrand numerator.  find_witnesses is passed to `euler_disc`,
+    with each automorphism of g as a renaming of the energies: it permutes
+    the facet columns and the shifted-vertex rows of the family.
     """
     fam = coefficient_family(g)
     y_names = [f"Y{eid}" for _, _, eid in g.edges]
+    symmetries = [
+        {**{f"X{v}": f"X{t}" for v, t in vmap.items()},
+         **{f"Y{e}": f"Y{t}" for e, t in emap.items()}}
+        for vmap, emap in automorphisms(g)
+    ]
     return euler_disc(fam, seed=seed, numerator_vars=y_names,
-                      find_witnesses=find_witnesses)
+                      find_witnesses=find_witnesses, symmetries=symmetries)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError
 from .graphs import PatternGraph, condition_star, induced, is_connected
@@ -301,9 +301,17 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
     None when the budget is exhausted.  screens, when given, holds the
     `residue_terms` of each avoid polynomial, so a caller that searches
     many witnesses against one set builds them once.
+
+    Coordinates are drawn from [-B, B] with B the larger of 12 and the
+    summed total degree of avoid.  An avoid polynomial that does not
+    vanish on delta = 0 vanishes at a uniform draw of the free
+    coordinates with probability at most its degree / (2B + 1)
+    (Schwartz, JACM 1980).  By the union bound an attempt for a linear
+    delta then clears the whole set with probability above 1/2.
     """
     if delta.is_constant:
         raise InputError("witness needs a nonconstant polynomial")
+    box = max(12, sum(a.total_degree() for a in avoid))
     rng = random.Random(seed)
     names = delta.vars.names
     present = sorted(delta.variables_present())
@@ -316,7 +324,7 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
         v = search_vars[attempt % len(search_vars)]
         den = 1 if attempt < 2 * len(search_vars) else rng.randint(1, 3)
         values = {
-            name: Fraction(rng.randint(-12, 12), den)
+            name: Fraction(rng.randint(-box, box), den)
             for name in names
             if name != v
         }
@@ -332,7 +340,7 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
         top = max(coeffs)
         poly = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
         if all(c == 0 for c in poly):
-            candidates = [Fraction(rng.randint(-12, 12))]
+            candidates = [Fraction(rng.randint(-box, box))]
         elif len(poly) >= 2 and poly[1] != 0 and all(c == 0 for c in poly[2:]):
             candidates = [-poly[0] / poly[1]]
         else:
@@ -353,7 +361,8 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
 
 def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
                numerator_vars: Sequence[str] = (),
-               find_witnesses: bool = True) -> DiscriminantReport:
+               find_witnesses: bool = True, *,
+               symmetries: Sequence[Mapping[str, str]] = ()) -> DiscriminantReport:
     """Reduced Euler discriminant of a family with multiplicities.
 
     The reduced discriminant is the product of the pairwise-coprime factors
@@ -363,6 +372,15 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     usable witness report "unknown".  Factor equal to a variable listed in
     numerator_vars are flagged as normalized away by the integrand
     numerator.
+
+    symmetries, when given, are renamings of the parameters (name -> name,
+    a permutation) under which the block is the same up to permuting its
+    rows and columns, such as those a graph automorphism induces.  The
+    matroid of [I | z] is then relabelled, and beta is a matroid invariant
+    (Crapo, J. Combin. Theory 1967), so the image s(delta) of a factor has
+    delta's exponent and s(w) is a witness for it.  The witness search and
+    beta then run once per orbit, on its first factor.  A renaming that
+    does not map the factor set onto itself is not used.
     """
     minors = list(dict.fromkeys(f.all_minors()))  # each distinct minor once
     if not minors:
@@ -371,28 +389,24 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     if chi_star <= 0:
         raise HypothesisError("generic Euler characteristic is zero")
     factors = coprime_basis(minors)
+    images = _factor_images(factors, f.params, symmetries)
     memo = {}  # beta memo shared by every witness point of this call
     screens = [residue_terms(q) for q in factors]
+    seeds = (seed, seed + 1000) if find_witnesses else ()
+    found = {}  # factor index -> (exponent, witness) from an orbit's first factor
     per_factor = []
     pairs = []
     for idx, delta in enumerate(factors):
-        others = factors[:idx] + factors[idx + 1 :]
-        others_screens = screens[:idx] + screens[idx + 1 :]
-        drops = []
-        witness = None
-        for wseed in ((seed, seed + 1000) if find_witnesses else ()):
-            w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
-            if w is None:
-                continue
-            chi_w = signed_euler_char(f.z_at(w), memo=memo)
-            drops.append(chi_star - chi_w)
-            if witness is None:
-                witness = w
-        flags = []
-        if drops and len(set(drops)) == 1 and drops[0] >= 1:
-            exponent = drops[0]
+        if idx in found:
+            exponent, witness = found[idx]
         else:
-            exponent = "unknown"
+            exponent, witness = _chi_drop(f, chi_star, factors, screens, idx, seeds, memo)
+            if exponent != "unknown":
+                for rename, image in images:
+                    moved = {rename[name]: v for name, v in witness.items()}
+                    found.setdefault(image[idx], (exponent, moved))
+        flags = []
+        if exponent == "unknown":
             flags.append(
                 "no-rational-witness" if find_witnesses else "witness-search-disabled"
             )
@@ -405,3 +419,47 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     reduced = FactoredPolynomial([(p, 1) for p in factors])
     with_mult = FactoredPolynomial(pairs)
     return DiscriminantReport(reduced, with_mult, chi_star, per_factor)
+
+
+def _chi_drop(f, chi_star, factors, screens, idx, seeds, memo):
+    """(exponent, witness) of factors[idx]: the chi drop where the witness
+    searches at seeds agree, else ("unknown", the witness found, if any)."""
+    delta = factors[idx]
+    others = factors[:idx] + factors[idx + 1 :]
+    others_screens = screens[:idx] + screens[idx + 1 :]
+    drops = []
+    witness = None
+    for wseed in seeds:
+        w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
+        if w is None:
+            continue
+        chi_w = signed_euler_char(f.z_at(w), memo=memo)
+        drops.append(chi_star - chi_w)
+        if witness is None:
+            witness = w
+    if drops and len(set(drops)) == 1 and drops[0] >= 1:
+        return drops[0], witness
+    return "unknown", witness
+
+
+def _factor_images(factors, vt, symmetries):
+    """(renaming, image) for each renaming of the variables vt that maps
+    the factor set onto itself, where image[i] is the index of the factor
+    that renaming factors[i] gives, up to sign and content."""
+    where = {p: i for i, p in enumerate(factors)}
+    out = []
+    for rename in symmetries:
+        rename = {name: rename.get(name, name) for name in vt.names}
+        if sorted(rename.values()) != sorted(vt.names):
+            raise InputError("a symmetry must permute the parameters")
+        # exponent e of p becomes e' with e'[index of rename[x]] = e[index of x]
+        source = [0] * len(vt)
+        for name, target in rename.items():
+            source[vt.index(target)] = vt.index(name)
+        image = []
+        for p in factors:
+            q = MultiPoly._raw(vt, {tuple(e[i] for i in source): c for e, c in p.terms.items()})
+            image.append(where.get(canonical(q)[0]))
+        if None not in image:
+            out.append((rename, image))
+    return out

@@ -28,6 +28,7 @@ __all__ = [
     "star_violation",
     "contract",
     "connected_subgraphs",
+    "automorphisms",
 ]
 
 
@@ -334,6 +335,47 @@ class CosmoGraph:
 
     def __repr__(self):
         return f"CosmoGraph({self.vertex_count}, {list(self.edges)})"
+
+
+def automorphisms(g: CosmoGraph):
+    """Every automorphism of g, as (vertex map, edge-id map) dict pairs,
+    the identity first and then in lexicographic order of vertex images.
+
+    Vertex maps are found by backtracking over 1..n, keeping those that
+    preserve the number of edges between every pair of vertices (loops
+    included).  The k-th edge on a vertex pair, in edge order, goes to
+    the k-th edge on the image pair, so composing two maps gives a third:
+    the maps form a group.
+    """
+    n = g.vertex_count
+    on_pair = {}
+    for i, j, eid in g.edges:
+        on_pair.setdefault((i, j), []).append(eid)
+
+    def mult(u, v):
+        return len(on_pair.get((min(u, v), max(u, v)), ()))
+
+    out = []
+    image = [0] * (n + 1)
+
+    def extend(v, used):
+        if v > n:
+            vmap = {u: image[u] for u in range(1, n + 1)}
+            emap = {}
+            for (i, j), eids in on_pair.items():
+                a, b = sorted((image[i], image[j]))
+                emap.update(zip(eids, on_pair[(a, b)]))
+            out.append((vmap, emap))
+            return
+        for t in range(1, n + 1):
+            if t in used:
+                continue
+            image[v] = t
+            if all(mult(u, v) == mult(image[u], t) for u in range(1, v + 1)):
+                extend(v + 1, used | {t})
+
+    extend(1, frozenset())
+    return out
 
 
 @dataclass(frozen=True)

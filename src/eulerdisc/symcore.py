@@ -326,25 +326,23 @@ class MultiPoly:
     # -- printing -------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for name, p in zip(self.vars.names, e):
-                if p == 1:
-                    factors.append(name)
-                elif p > 1:
-                    factors.append(f"{name}^{p}")
+        # graded lex, highest first: by exponent tuple, then stably by degree
+        order = sorted(terms, reverse=True)
+        order.sort(key=sum, reverse=True)
+        names = self.vars.names
+        out = []
+        for e in order:
+            c = terms[e]
+            factors = [names[i] if p == 1 else f"{names[i]}^{p}" for i, p in enumerate(e) if p]
             if not factors or abs(c) != 1:
                 factors.insert(0, str(abs(c)))
-            parts.append((c < 0, "*".join(factors)))
-        neg, text = parts[0]
-        out = ("-" if neg else "") + text
-        for neg, text in parts[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+            out.append(" - " if c < 0 else " + ")
+            out.append("*".join(factors))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -26,3 +26,28 @@ def expand(f, vars=None):
     for p, e in f.factors:
         out = out * p**e
     return out
+
+
+def poly_str(p):
+    """MultiPoly's printed form, built term by term: graded lex order,
+    highest first, each term its coefficient (dropped when 1) and its
+    variable powers joined by "*"."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+        c = p.terms[e]
+        factors = []
+        for name, k in zip(p.vars.names, e):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        if not factors or abs(c) != 1:
+            factors.insert(0, str(abs(c)))
+        parts.append((c < 0, "*".join(factors)))
+    neg, text = parts[0]
+    out = ("-" if neg else "") + text
+    for neg, text in parts[1:]:
+        out += (" - " if neg else " + ") + text
+    return out

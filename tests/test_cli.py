@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eulerdisc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +140,24 @@ class TestDeterminism:
             b = run_cli(*job)
             assert a.returncode == b.returncode == 0
             assert a.stdout == b.stdout
+
+
+class TestRecordedReports:
+    # Recorded while every witness search drew from [-12, 12].  These
+    # inputs avoid sets of total degree at most 12, so the box is still
+    # [-12, 12]; on the two-site graph the image of each searched witness
+    # under the vertex swap is the witness the image factor's own search
+    # found, so orbits leave the report as it was.
+    @pytest.mark.parametrize("args, record", [
+        (("euler-disc", "z1_family.yaml"), "euler-disc_z1_family.txt"),
+        (("euler-disc", "z2_family.yaml"), "euler-disc_z2_family.txt"),
+        (("cosmo-disc", "two_site_graph.yaml"), "cosmo-disc_two_site_graph.txt"),
+    ])
+    def test_byte_identical_to_record(self, args, record):
+        cmd, name = args
+        r = run_cli(cmd, str(FIXTURES / name))
+        assert r.returncode == 0
+        assert r.stdout == (FIXTURES / "reports" / record).read_text()
 
 
 class TestExitCodes:

@@ -1,11 +1,15 @@
 """Tests for wavefunction coefficients, facet hyperplanes, and the
 discriminants of the associated coefficient families."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, SizeLimitError
 from eulerdisc.graphs import CosmoGraph, connected_subgraphs
@@ -21,7 +25,8 @@ from eulerdisc.cosmo import (
     facet_forms,
     wavefunction,
 )
-from eulerdisc.symcore import MultiPoly, parse
+from eulerdisc.matroid import signed_euler_char
+from eulerdisc.symcore import MultiPoly, canonical, parse
 
 
 def two_site():
@@ -458,3 +463,86 @@ class TestEulerDiscRegression:
             and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
         ]
         assert state == []
+
+
+def path4():
+    return CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4)])
+
+
+def star4():
+    return CosmoGraph.from_pairs(4, [(1, 2), (1, 3), (1, 4)])
+
+
+def cycle4():
+    return CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+class TestOrbitWitnesses:
+    """Every factor's exponent, orbit images included, is the chi drop at
+    its reported witness, recomputed here with a fresh beta, and the
+    witness lies on its factor and on no other."""
+
+    @pytest.mark.parametrize("make", [triangle, path4, star4])
+    def test_every_witness_is_exact(self, make):
+        g = make()
+        fam = coefficient_family(g)
+        rep = cosmo_euler_disc(g, seed=0)
+        assert not rep.has_unknown
+        factors = [f for f, _, _, _ in rep.per_factor]
+        for f, e, w, _ in rep.per_factor:
+            assert f.eval(w) == 0
+            assert all(q.eval(w) != 0 for q in factors if q is not f)
+            assert signed_euler_char(fam.z_at(w)) == rep.chi_star - e
+
+
+# Recorded, not independent: the factor -> exponent table of the 4-cycle at
+# seed 0.  A search with the box fixed at [-12, 12] and no orbits found 382
+# of these exponents, all equal to the recorded ones, and reported the
+# other 141 factors "unknown".
+CYCLE4 = json.loads((Path(__file__).parent / "fixtures" / "cycle4_disc.json").read_text())
+
+
+class TestCycle4Regression:
+    def test_recorded_table_without_unknown(self):
+        data = cosmo_euler_disc(cycle4(), seed=0).to_dict()
+        assert not data["has_unknown"]
+        assert data["chi_star"] == CYCLE4["chi_star"] == 1525
+        assert data["degree"] == CYCLE4["degree"]
+        table = {f["poly"]: f["exponent"] for f in data["factors"]}
+        assert len(table) == 523
+        assert table == CYCLE4["factors"]
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """(g, relabelled g, energy renaming) for a connected multigraph g on
+    at most 4 vertices: a tree plus extra edges, loops and parallel edges
+    among them, at most 4 edges in all and 3 on 4 vertices (a 4-vertex
+    graph with 4 edges takes seconds)."""
+    n = draw(st.integers(1, 4))
+    pairs = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    vertex = st.integers(1, n)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=(3 if n == 4 else 4) - len(pairs)))
+    pairs += [tuple(sorted(p)) for p in extra]
+    perm = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    g = CosmoGraph.from_pairs(n, pairs)
+    h = CosmoGraph.from_pairs(n, [(perm[i], perm[j]) for i, j in pairs])
+    # from_pairs keeps the edge order, so the k-th edge of g is the k-th of h
+    rename = {f"X{v}": f"X{perm[v]}" for v in perm}
+    rename.update({f"Y{a[2]}": f"Y{b[2]}" for a, b in zip(g.edges, h.edges)})
+    return g, h, rename
+
+
+class TestRelabelling:
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(case=relabelled_graphs())
+    def test_relabelling_permutes_factors_and_keeps_exponents(self, case):
+        g, h, rename = case
+        rep_g = cosmo_euler_disc(g, seed=0)
+        rep_h = cosmo_euler_disc(h, seed=0)
+        assert rep_g.chi_star == rep_h.chi_star
+        vt_h = energy_vars(h)
+        images = {name: MultiPoly.var(vt_h, rename[name]) for name in energy_vars(g).names}
+        moved = {canonical(f.subs(images))[0]: e for f, e, _, _ in rep_g.per_factor}
+        assert moved == {f: e for f, e, _, _ in rep_h.per_factor}
+        assert not rep_g.has_unknown

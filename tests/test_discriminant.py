@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from eulerdisc.cosmo import coefficient_family
 from eulerdisc.errors import HypothesisError, InputError
-from eulerdisc.graphs import CosmoGraph, PatternGraph, condition_star, induced, is_connected
+from eulerdisc.graphs import (
+    CosmoGraph,
+    PatternGraph,
+    automorphisms,
+    condition_star,
+    induced,
+    is_connected,
+)
 from eulerdisc.lattice import edge_config
 from eulerdisc.matroid import generic_euler_char, signed_euler_char
 from eulerdisc import discriminant
@@ -29,6 +36,7 @@ from eulerdisc.symcore import (
     FactoredPolynomial,
     MultiPoly,
     VarTable,
+    canonical,
     coprime_basis,
     eval_mod_p,
     parse,
@@ -193,6 +201,87 @@ class TestWitnessPoint:
         vt = VarTable(["u", "v", "w"])
         delta = parse("u*v - w^2 + 1", vt)
         assert witness_point(delta, seed=9) == witness_point(delta, seed=9)
+
+
+class TestWitnessBox:
+    def test_linear_delta_against_many_random_hyperplanes(self):
+        vt = VarTable(["u", "v", "w", "x"])
+        rng = random.Random(77)
+        for trial in range(5):
+            delta = MultiPoly(vt, {e: rng.choice([-2, -1, 1, 2]) for e in
+                                   [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]})
+            avoid = []
+            while len(avoid) < 60:
+                coeffs = [rng.randint(-3, 3) for _ in range(5)]
+                terms = {tuple(int(i == k) for i in range(4)): c for k, c in enumerate(coeffs[:4])}
+                terms[(0, 0, 0, 0)] = coeffs[4]
+                a = MultiPoly(vt, terms)
+                # no witness exists when a is a multiple of delta
+                if a.total_degree() == 1 and canonical(a)[0] != canonical(delta)[0]:
+                    avoid.append(a)
+            w = witness_point(delta, avoid=avoid, seed=trial)
+            assert w is not None and delta.eval(w) == 0
+            assert all(a.eval(w) != 0 for a in avoid)
+
+    def test_box_outgrows_every_value_the_old_box_could_draw(self):
+        # the avoid set removes v = c / d for every c in [-12, 12] and
+        # d in {1, 2, 3}: every value a box of [-12, 12] with those
+        # denominators can give v, by a draw or by solving u + v = 0 for a
+        # drawn u.  75 hyperplanes make the box [-75, 75].
+        vt = VarTable(["u", "v"])
+        delta = parse("u + v", vt)
+        avoid = [parse(f"{d}*v - ({c})", vt) for d in (1, 2, 3) for c in range(-12, 13)]
+        w = witness_point(delta, avoid=avoid, seed=0)
+        assert w is not None and delta.eval(w) == 0
+        assert all(a.eval(w) != 0 for a in avoid)
+        assert abs(w["v"]) > 12
+        # 12 hyperplanes keep the box at [-12, 12]
+        for seed in range(20):
+            w = witness_point(delta, avoid=avoid[:12], seed=seed)
+            assert max(abs(w["u"]), abs(w["v"])) <= 12
+
+
+class TestSymmetries:
+    def test_one_search_per_orbit(self, monkeypatch):
+        g = CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)])
+        fam = coefficient_family(g)
+        renamings = [
+            {**{f"X{v}": f"X{t}" for v, t in vmap.items()},
+             **{f"Y{e}": f"Y{t}" for e, t in emap.items()}}
+            for vmap, emap in automorphisms(g)
+        ]
+        plain = euler_disc(fam, seed=0)
+        searched = []
+        search = discriminant.witness_point
+        monkeypatch.setattr(discriminant, "witness_point",
+                            lambda delta, *a, **k: searched.append(delta) or search(delta, *a, **k))
+        rep = euler_disc(fam, seed=0, symmetries=renamings)
+        # orbits of the factor set, by substituting each renaming
+        vt = fam.params
+        factors = [f for f, _, _, _ in plain.per_factor]
+        orbits = {
+            frozenset(canonical(f.subs({x: MultiPoly.var(vt, r[x]) for x in vt.names}))[0]
+                      for r in renamings)
+            for f in factors
+        }
+        assert len(orbits) < len(factors)
+        first = [next(f for f in factors if f in orbit) for orbit in orbits]
+        assert sorted(map(str, searched)) == sorted(map(str, first * 2))
+        assert rep.with_multiplicity == plain.with_multiplicity
+        # the first factor of each orbit keeps its own witness
+        assert [w for f, _, w, _ in rep.per_factor if f in first] == \
+            [w for f, _, w, _ in plain.per_factor if f in first]
+
+    def test_renaming_that_moves_a_factor_off_the_set_is_not_used(self):
+        # w1 <-> w2 does not map the z1 factor set onto itself
+        rep = euler_disc(z1_family(), seed=0, symmetries=[{"w1": "w2", "w2": "w1"}])
+        assert rep.to_dict() == euler_disc(z1_family(), seed=0).to_dict()
+
+    def test_non_permutation_rejected(self):
+        with pytest.raises(InputError):
+            euler_disc(z1_family(), seed=0, symmetries=[{"w1": "w2"}])
+        with pytest.raises(InputError):
+            euler_disc(z1_family(), seed=0, symmetries=[{"w1": "v"}])
 
 
 class TestEulerDisc:

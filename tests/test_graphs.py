@@ -1,7 +1,7 @@
 """Tests for pattern graphs and multigraphs."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,6 +9,7 @@ from eulerdisc.errors import HypothesisError, InputError, SizeLimitError
 from eulerdisc.graphs import (
     CosmoGraph,
     PatternGraph,
+    automorphisms,
     condition_star,
     connected_subgraphs,
     contract,
@@ -251,3 +252,74 @@ class TestCosmoGraph:
         g = CosmoGraph.from_pairs(9, [(i, i + 1) for i in range(1, 9)])
         with pytest.raises(SizeLimitError):
             connected_subgraphs(g, max_vertices=8)
+
+
+def edge_counts(g):
+    counts = {}
+    for i, j, _ in g.edges:
+        counts[(i, j)] = counts.get((i, j), 0) + 1
+    return counts
+
+
+def rand_multigraph(rng):
+    """A connected multigraph on 1..5 vertices: a random tree plus up to
+    three extra edges, loops and parallel edges among them."""
+    n = rng.randint(1, 5)
+    pairs = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    for _ in range(rng.randint(0, 3)):
+        pairs.append(tuple(sorted((rng.randint(1, n), rng.randint(1, n)))))
+    return CosmoGraph.from_pairs(n, pairs)
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n, pairs, order", [
+        (3, [(1, 2), (2, 3), (1, 3)], 6),
+        (4, [(1, 2), (2, 3), (3, 4)], 2),
+        (4, [(1, 2), (1, 3), (1, 4)], 6),
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)], 8),
+        (5, [(1, 2), (1, 3), (1, 4), (1, 5)], 24),
+        (2, [(1, 2), (1, 2)], 2),
+        (3, [(1, 2), (1, 2), (2, 3)], 1),
+    ])
+    def test_group_orders(self, n, pairs, order):
+        assert len(automorphisms(CosmoGraph.from_pairs(n, pairs))) == order
+
+    def test_parallel_edges_in_order(self):
+        g = CosmoGraph.from_pairs(3, [(1, 2), (1, 2), (2, 3), (2, 3)])
+        (ident, _), (vmap, emap) = automorphisms(g)
+        assert vmap == {1: 3, 2: 2, 3: 1}
+        assert emap == {"a": "c", "b": "d", "c": "a", "d": "b"}
+
+    def test_group_against_all_permutations(self):
+        # oracle: every vertex permutation that keeps the edge count of
+        # each vertex pair; the maps carry edges to edges, contain the
+        # identity first, and are closed under composition
+        rng = random.Random(12)
+        for _ in range(60):
+            g = rand_multigraph(rng)
+            n = g.vertex_count
+            counts = edge_counts(g)
+            ends = {eid: (i, j) for i, j, eid in g.edges}
+            want = []
+            for perm in permutations(range(1, n + 1)):
+                vmap = dict(zip(range(1, n + 1), perm))
+                moved = {}
+                for (i, j), k in counts.items():
+                    moved[tuple(sorted((vmap[i], vmap[j])))] = k
+                if moved == counts:
+                    want.append(vmap)
+            autos = automorphisms(g)
+            assert [vmap for vmap, _ in autos] == want
+            assert autos[0][0] == {v: v for v in range(1, n + 1)}
+            maps = []
+            for vmap, emap in autos:
+                assert sorted(emap.values()) == sorted(ends)
+                for eid, (i, j) in ends.items():
+                    assert ends[emap[eid]] == tuple(sorted((vmap[i], vmap[j])))
+                maps.append((vmap, emap))
+            as_keys = [(tuple(v.items()), tuple(e.items())) for v, e in maps]
+            for v1, e1 in maps:
+                for v2, e2 in maps:
+                    v = {u: v2[v1[u]] for u in v1}
+                    e = {x: e2[e1[x]] for x in e1}
+                    assert (tuple(v.items()), tuple(e.items())) in as_keys

@@ -32,7 +32,7 @@ from eulerdisc.symcore import (
     poly_gcd,
     try_div,
 )
-from oracles import expand, factor_multiplicity
+from oracles import expand, factor_multiplicity, poly_str
 
 VT = VarTable(["x", "y", "z"])
 
@@ -567,6 +567,26 @@ class TestMulOracle:
             assert _mul_into(out, packed(big), packed(small)) is out
             got = {e: v for e, v in zip(_unpack(out, len(a.vars), w), out.values()) if v}
             assert MultiPoly(a.vars, got) == c + ab
+
+
+class TestPrintOracle:
+    """MultiPoly.__str__ against the term-by-term printer, on the zero
+    polynomial, constants (the empty table included), negative and wide
+    coefficients and exponents on both sides of 255."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=poly_pairs())
+    def test_str_matches_reference(self, pair):
+        for p in pair:
+            assert str(p) == poly_str(p)
+            assert str(-p) == poly_str(-p)
+
+    def test_explicit_edge_cases(self):
+        empty = VarTable([])
+        for p in (MultiPoly.zero(VT), MultiPoly.const(VT, -7), MultiPoly.const(empty, 3),
+                  MultiPoly.zero(empty), parse("-x^300*y + 2*z - 1", VT)):
+            assert str(p) == poly_str(p)
+        assert str(MultiPoly.const(VT, -7)) == "-7"
 
 
 class TestFactoredAndRational:
