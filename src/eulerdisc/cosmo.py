@@ -10,6 +10,7 @@ arrangement, and its discriminants.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -136,15 +137,7 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
                     num_i, num_j = num_j, num_i
                 terms.append((_mul_into({}, num_i, num_j), den_i | den_j))
             common = frozenset().union(*(den for _, den in terms))
-            # each term times the forms missing from its denominator; the
-            # last product goes straight into the level's sum
-            num: Dict[int, int] = {}
-            for tn, den in terms:
-                missing = [forms[p] for p in common - den]
-                last = missing.pop() if missing else {0: 1}
-                for p in missing:
-                    tn = _mul_into({}, tn, p)
-                _mul_into(num, tn, last)
+            num = _level_sum({}, [(tn, common - den) for tn, den in terms], forms)
             out = num, common | {form([u for v in verts for u in x_of(v, shift)])}
         memo[key] = out
         return out
@@ -155,6 +148,33 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         return MultiPoly._raw(vt, dict(zip(_unpack(packed, len(vt), w), packed.values())))
 
     return RationalFunction(poly(num), FactoredPolynomial((poly(forms[p]), 1) for p in den))
+
+
+def _level_sum(out, items, forms):
+    """Add the sum of tn times the product of forms[p] over p in missing,
+    for each (tn, missing) in items, into out and return out.
+
+    Greedy multivariate Horner (Ceberio, Kreinovich, ACM SIGSAM Bulletin
+    38(1), 2004): the form missing from the most items, the smallest key
+    on a tie, multiplies the sum of those items once.  A level's numerator
+    is dense in its degree, so that sum is about as large as one of its
+    terms.  Items that share no form take their own products.
+    """
+    counts = Counter(p for _, missing in items for p in missing)
+    p, n = max(counts.items(), key=lambda pn: (pn[1], -pn[0]), default=(0, 0))
+    if n < 2:
+        # each item times its missing forms; the last product goes
+        # straight into out
+        for tn, missing in items:
+            missing = [forms[q] for q in missing]
+            last = missing.pop() if missing else {0: 1}
+            for f in missing:
+                tn = _mul_into({}, tn, f)
+            _mul_into(out, tn, last)
+        return out
+    shared = [(tn, missing - {p}) for tn, missing in items if p in missing]
+    _mul_into(out, _level_sum({}, shared, forms), forms[p])
+    return _level_sum(out, [item for item in items if p not in item[1]], forms)
 
 
 def _add_shift(shift, v, eid):

@@ -223,7 +223,14 @@ class DiscriminantReport:
         for f, e, w, flags in self.per_factor:
             note = f"  [{', '.join(flags)}]" if flags else ""
             lines.append(f"  ({f})^{e}{note}")
-        lines.append(f"degree = {self.with_multiplicity.total_degree()}")
+        degree = self.with_multiplicity.total_degree()
+        unknown = sum(e == "unknown" for _, e, _, _ in self.per_factor)
+        if unknown:
+            # each unknown exponent is at least 1, and counted as 1
+            s = "" if unknown == 1 else "s"
+            lines.append(f"degree >= {degree}  [{unknown} unknown exponent{s} counted as 1]")
+        else:
+            lines.append(f"degree = {degree}")
         return "\n".join(lines)
 
 

@@ -1,6 +1,7 @@
 """Tests for wavefunction coefficients, facet hyperplanes, and the
 discriminants of the associated coefficient families."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, SizeLimitError
 from eulerdisc.graphs import CosmoGraph, connected_subgraphs
+import eulerdisc.cosmo as cosmo
 from eulerdisc.cosmo import (
     coefficient_family,
     cosmo_euler_disc,
@@ -20,13 +22,15 @@ from eulerdisc.cosmo import (
     cosmo_pattern,
     energy_vars,
     MAX_PSI_TERMS,
+    _level_sum,
     _psi_term_bound,
     _psi_width,
     facet_forms,
     wavefunction,
 )
 from eulerdisc.matroid import signed_euler_char
-from eulerdisc.symcore import MultiPoly, canonical, parse
+from eulerdisc.symcore import MultiPoly, _mul_into, canonical, parse
+from oracles import psi_value
 
 
 def two_site():
@@ -72,46 +76,30 @@ def assert_coprime(psi, rng):
         assert value != 0, f"{f} divides the numerator"
 
 
-def psi_value(g, point):
-    """Independent oracle: the edge-splitting recursion of the tree g in
-    Fractions, at the energies point[f"X{v}"] and point[f"Y{eid}"].
-
-    One vertex gives 1/X; more give 1/(the sum of their X) times the sum
-    over their edges of the product of the two sides' values, with the
-    edge's Y added to the X of each endpoint.
-    """
-
-    def rec(verts, xs):
-        if len(verts) == 1:
-            return 1 / Fraction(xs[next(iter(verts))])
-        inner = [(i, j, eid) for i, j, eid in g.edges if i in verts and j in verts]
-        total = Fraction(0)
-        for i, j, eid in inner:
-            side = {i}
-            grew = True
-            while grew:
-                grew = False
-                for a, b, other in inner:
-                    if other != eid and (a in side) != (b in side):
-                        side |= {a, b}
-                        grew = True
-            xi = {v: x for v, x in xs.items() if v in side}
-            xj = {v: x for v, x in xs.items() if v not in side}
-            xi[i] += point[f"Y{eid}"]
-            xj[j] += point[f"Y{eid}"]
-            total += rec(frozenset(xi), xi) * rec(frozenset(xj), xj)
-        return total / sum(xs.values())
-
-    xs = {v: point[f"X{v}"] for v in range(1, g.vertex_count + 1)}
-    return rec(frozenset(xs), xs)
-
-
 def psi_at(psi, point):
-    """psi.num / (psi.den_const * the product of the denominator factors)."""
+    """psi.num / (psi.den_const * the product of the denominator factors).
+
+    The numerator is summed in integers: with x = a/b and d the highest
+    power of x in it, x^k is a^k b^(d - k) over b^d, read from a table.
+    Fraction arithmetic per term would take seconds on path6.
+    """
+    xs = [Fraction(point[name]) for name in psi.num.vars.names]
+    top = [max(e[i] for e in psi.num.terms) for i in range(len(xs))]
+    tables = [
+        [x.numerator**k * x.denominator ** (d - k) for k in range(d + 1)]
+        for x, d in zip(xs, top)
+    ]
+    total = 0
+    for e, c in psi.num.terms.items():
+        for table, k in zip(tables, e):
+            c *= table[k]
+        total += c
     den = Fraction(psi.den_const)
+    for x, d in zip(xs, top):
+        den *= x.denominator**d
     for p, e in psi.den.factors:
         den *= p.eval(point) ** e
-    return psi.num.eval(point) / den
+    return total / den
 
 
 def spans(n, edges):
@@ -148,6 +136,15 @@ def tree_psis():
     then the 6-path: each wavefunction is built once for the module."""
     graphs = [g for n in range(1, 6) for g in all_trees(n)] + [path6()]
     return [(g, wavefunction(g)) for g in graphs]
+
+
+def star5():
+    return CosmoGraph.from_pairs(5, [(1, v) for v in range(2, 6)])
+
+
+@pytest.fixture(scope="module")
+def star5_psi():
+    return wavefunction(star5())
 
 
 def random_tree(rng, n):
@@ -248,6 +245,20 @@ class TestWavefunction:
             den *= Fraction(p.eval(pt)) ** e
         assert num / den == direct
 
+    def test_psi_oracle_on_all_small_trees(self, tree_psis, star5_psi):
+        # every tree on up to 5 vertices, path6 and star5 against the
+        # Fraction recursion of `oracles.psi_value`, at one seeded point
+        # with positive rational energies each
+        rng = random.Random(13)
+        cases = tree_psis + [(star5(), star5_psi)]
+        assert len(cases) == 148
+        for g, psi in cases:
+            point = {
+                name: Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                for name in psi.num.vars.names
+            }
+            assert psi_at(psi, point) == psi_value(g, point)
+
 
 class TestFacetForms:
     def test_two_site(self):
@@ -320,6 +331,142 @@ class TestFacetForms:
         path9 = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])
         with pytest.raises(SizeLimitError):
             facet_forms(path9)
+
+
+def nonzero(d):
+    return {k: c for k, c in d.items() if c}
+
+
+def naive_level_sum(items, forms):
+    """The sum of tn times the product of forms[p] over p in missing, one
+    product per item, with zero coefficients dropped."""
+    out = {}
+    for tn, missing in items:
+        prod = dict(tn)
+        for p in missing:
+            step = {}
+            for k1, c1 in prod.items():
+                for k2, c2 in forms[p].items():
+                    step[k1 + k2] = step.get(k1 + k2, 0) + c1 * c2
+            prod = step
+        for k, c in prod.items():
+            out[k] = out.get(k, 0) + c
+    return nonzero(out)
+
+
+packed_dicts = st.dictionaries(st.integers(0, 4000), st.integers(-9, 9), min_size=1, max_size=6)
+
+
+@st.composite
+def level_items(draw):
+    keys = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True))
+    forms = {p: draw(packed_dicts) for p in keys}
+    items = draw(st.lists(
+        st.tuples(packed_dicts, st.frozensets(st.sampled_from(keys))),
+        min_size=1, max_size=7,
+    ))
+    return items, forms
+
+
+class TestLevelSum:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(level_items())
+    def test_matches_naive_sum(self, case):
+        items, forms = case
+        out = _level_sum({}, items, forms)
+        assert nonzero(out) == naive_level_sum(items, forms)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(level_items(), packed_dicts)
+    def test_adds_to_what_out_holds(self, case, start):
+        items, forms = case
+        out = _level_sum(dict(start), items, forms)
+        want = dict(start)
+        for k, c in naive_level_sum(items, forms).items():
+            want[k] = want.get(k, 0) + c
+        assert nonzero(out) == nonzero(want)
+
+    def test_single_item(self):
+        forms = {7: {1: 1, 2: 3}, 9: {4: 2}}
+        items = [({0: 2, 5: 1}, frozenset([7, 9]))]
+        assert _level_sum({}, items, forms) == naive_level_sum(items, forms)
+
+    def test_empty_missing_sets(self):
+        items = [({0: 2, 5: 1}, frozenset()), ({5: 4, 6: 1}, frozenset())]
+        assert _level_sum({}, items, {}) == {0: 2, 5: 5, 6: 1}
+
+    def test_form_every_item_shares_is_multiplied_once(self, monkeypatch):
+        # the form missing from all items multiplies their sum once
+        forms = {3: {1: 1, 10: 1}, 4: {100: 1, 200: 2}, 5: {1000: 3}}
+        items = [
+            ({0: 1, 2: 5}, frozenset([3, 4])),
+            ({2: 2}, frozenset([3])),
+            ({7: 1}, frozenset([3, 5])),
+        ]
+        calls = []
+
+        def counting(out, big, small):
+            calls.append(small)
+            return _mul_into(out, big, small)
+
+        monkeypatch.setattr(cosmo, "_mul_into", counting)
+        assert _level_sum({}, items, forms) == naive_level_sum(items, forms)
+        assert sum(small is forms[3] for small in calls) == 1
+
+    def test_most_shared_form_first_smallest_key_on_tie(self, monkeypatch):
+        forms = {p: {p: 1} for p in (11, 12, 13)}
+        items = [
+            ({0: 1}, frozenset([12, 13])),
+            ({1: 1}, frozenset([11, 13])),
+            ({2: 1}, frozenset([11, 12])),
+        ]
+        order = []
+
+        def recording(out, big, small):
+            order.append(next(iter(small)))
+            return _mul_into(out, big, small)
+
+        monkeypatch.setattr(cosmo, "_mul_into", recording)
+        _level_sum({}, items, forms)
+        # each form is missing from two items: 11, the smallest, takes the
+        # second and third (left with 13 and 12 apart) and multiplies their
+        # sum once, and the first takes its own products
+        assert order[:3] == [13, 12, 11]
+        assert sorted(order[3:]) == [12, 13]
+
+
+class TestPsiRegression:
+    # sha256 of str(wavefunction(g)), recorded before the level sum was
+    # Horner-factored; the products are exact, so the text is unchanged
+    SHA256 = {
+        "star5": "f6351613745a6035a6249c462a418ce8509723b6a9d4b6c84a47d998c9b64c35",
+        "path6": "c1b2d68052f8024c4cc4a26d328c0050b068b1c1f205350176b734eedee46757",
+    }
+    # multiply-kernel pair updates, len(big) * len(small) per call, of the
+    # Horner level sum; one product per edge term and missing form took
+    # 1,640,140 and 2,651,712
+    PAIR_UPDATES = {"star5": 1_113_360, "path6": 1_624_307}
+
+    def test_recorded_text(self, tree_psis, star5_psi):
+        g, path6_psi = tree_psis[-1]
+        assert g.edges == path6().edges
+        for name, psi in (("star5", star5_psi), ("path6", path6_psi)):
+            assert hashlib.sha256(str(psi).encode()).hexdigest() == self.SHA256[name]
+
+    def test_pair_updates(self, monkeypatch):
+        # a guard on the work the recursion does that does not depend on
+        # machine load
+        count = [0]
+
+        def counting(out, big, small):
+            count[0] += len(big) * len(small)
+            return _mul_into(out, big, small)
+
+        monkeypatch.setattr(cosmo, "_mul_into", counting)
+        for name, g in (("star5", star5()), ("path6", path6())):
+            count[0] = 0
+            wavefunction(g)
+            assert count[0] <= self.PAIR_UPDATES[name], name
 
 
 class TestCoefficientFamily:

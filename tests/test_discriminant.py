@@ -368,6 +368,27 @@ class TestEulerDisc:
         for f in d["factors"]:
             assert isinstance(f["poly"], str)
 
+    def test_degree_line_marks_unknown_exponents(self):
+        # an unknown exponent is counted as 1, so the printed degree is a
+        # lower bound; the structured degree keeps the same number
+        rep = euler_disc(z2_family())
+        assert str(rep).splitlines()[-1] == "degree >= 9  [1 unknown exponent counted as 1]"
+        assert rep.to_dict()["degree"] == 9
+        vt = VarTable(["a", "b"])
+        a, b, ab = parse("a", vt), parse("b", vt), parse("a + b + 1", vt)
+        exps = [(a, 2), (b, "unknown"), (ab, "unknown")]
+        rep = DiscriminantReport(
+            FactoredPolynomial([(p, 1) for p, _ in exps]),
+            FactoredPolynomial([(p, e if isinstance(e, int) else 1) for p, e in exps]),
+            2,
+            [(p, e, None, ()) for p, e in exps],
+        )
+        assert str(rep).splitlines()[-1] == "degree >= 4  [2 unknown exponents counted as 1]"
+        rep = DiscriminantReport(
+            FactoredPolynomial([(a, 1)]), FactoredPolynomial([(a, 3)]), 2, [(a, 3, None, ())]
+        )
+        assert str(rep).splitlines()[-1] == "degree = 3"
+
 
 class TestChiDrop:
     def test_on_and_off_factors_two_site(self):
