@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain, repeat
 
 import click
 
@@ -40,13 +41,22 @@ from .matroid import signed_euler_char
 
 
 def _emit(human_lines, structured, output):
-    payload = json.dumps(structured, indent=2, sort_keys=True)
-    text = "\n".join(human_lines) + "\n--- structured ---\n" + payload + "\n"
+    """Write the report piece by piece: each human line, the marker, then
+    the JSON block as the encoder yields it, so that no copy of the whole
+    report is built."""
+    pieces = chain(
+        chain.from_iterable(zip(human_lines, repeat("\n"))),
+        ["--- structured ---\n"],
+        json.JSONEncoder(indent=2, sort_keys=True).iterencode(structured),
+        ["\n"],
+    )
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        click.echo(text, nl=False)
+        out = click.get_text_stream("stdout")
+        out.writelines(pieces)
+        out.flush()
 
 
 def _load(path, expected_kinds):
@@ -196,24 +206,23 @@ def cosmo_psi(input_path, output):
         doc, _ = _load(input_path, ("cosmo",))
         g = ingest_cosmo(doc)
         psi = wavefunction(g)
-        num = str(psi.num)  # format once: path6's numerator is about 5 MB of text
+        # format once, and drop the polynomial: path6's numerator is about
+        # 5 MB of text and 159,328 terms
+        num = str(psi.num)
         den = str(psi.den)
         if psi.den_const != 1:
             den = f"{psi.den_const} * {den}"
-        lines = ["wavefunction coefficient",
-                 f"numerator = {num}", f"denominator = {den}"]
-        _emit(
-            lines,
-            {
-                "command": "cosmo-psi",
-                "numerator": num,
-                "denominator_constant": psi.den_const,
-                "denominator_factors": [
-                    {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
-                ],
-            },
-            output,
-        )
+        structured = {
+            "command": "cosmo-psi",
+            "numerator": num,
+            "denominator_constant": psi.den_const,
+            "denominator_factors": [
+                {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
+            ],
+        }
+        del psi
+        lines = ["wavefunction coefficient", f"numerator = {num}", f"denominator = {den}"]
+        _emit(lines, structured, output)
 
     _run(body)
 

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, automorphisms, connected_subgraphs, reachable
-from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _unpack
+from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _pack
 
 __all__ = [
     "energy_vars",
@@ -51,8 +51,8 @@ class LinearForm:
 # Wavefunction recursion (trees)
 
 
-# path6's bound, 184,756 (159,328 actual terms, about 124 MB peak RSS), is
-# admitted; the next 6-vertex tree's, 1,144,066, is not
+# path6's bound, 184,756 (159,328 actual terms, about 57 MB peak RSS in
+# `cosmo-psi`), is admitted; the next 6-vertex tree's, 1,144,066, is not
 MAX_PSI_TERMS = 500_000
 
 
@@ -98,23 +98,30 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         raise SizeLimitError(
             f"wavefunction numerator may have {bound} terms (limit {MAX_PSI_TERMS})"
         )
-    # The recursion runs on packed keys (see `symcore._mul_into`), unpacked
-    # once at the end.  Each numerator it builds, a subtree's or part of a
-    # level's sum, has degree at most T - (2n - 1): a subtree on m vertices
-    # with T' tubes has degree T' - (2m - 1), and each vertex outside it
-    # adds at least two tubes.  No exponent exceeds that, so no field carries.
+    # The recursion runs on packed keys (see `symcore._mul_into`), and the
+    # numerator stays packed.  Each numerator it builds, a subtree's or part
+    # of a level's sum, has degree at most T - (2n - 1): a subtree on m
+    # vertices with T' tubes has degree T' - (2m - 1), and each vertex
+    # outside it adds at least two tubes.  No exponent exceeds that, so no
+    # field carries.
     vt = energy_vars(g)
+    nv = len(vt)
     w = _psi_width(g)
-    unit = {name: 1 << (8 * w * i) for i, name in enumerate(vt.names)}
-    forms: Dict[int, Dict[int, int]] = {}  # sum of a tube form's units -> the form
+    index = {name: i for i, name in enumerate(vt.names)}
+    units = list(_pack([tuple(int(i == j) for j in range(nv)) for i in range(nv)], w))
+    # A tube form is keyed by the packed key of its variables in reverse
+    # order.  That key fixes the order in which `_level_sum` breaks ties,
+    # and so the work it does.
+    forms: Dict[int, Dict[int, int]] = {}
     memo: Dict = {}
 
-    def form(units):
-        forms.setdefault(sum(units), dict.fromkeys(units, 1))
-        return sum(units)
+    def form(idx):
+        key = sum(units[nv - 1 - i] for i in idx)
+        forms.setdefault(key, dict.fromkeys((units[i] for i in idx), 1))
+        return key
 
     def x_of(v, shift):
-        return [unit[f"X{v}"]] + [unit[f"Y{eid}"] for eid in shift.get(v, ())]
+        return [index[f"X{v}"]] + [index[f"Y{eid}"] for eid in shift.get(v, ())]
 
     # each level clears its edge terms over one common denominator, the set
     # of its tube forms (the two sides of a split have disjoint X's); that
@@ -143,11 +150,10 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         return out
 
     num, den = psi(frozenset(range(1, g.vertex_count + 1)), {})
-
-    def poly(packed):
-        return MultiPoly._raw(vt, dict(zip(_unpack(packed, len(vt), w), packed.values())))
-
-    return RationalFunction(poly(num), FactoredPolynomial((poly(forms[p]), 1) for p in den))
+    return RationalFunction(
+        MultiPoly._from_packed(vt, w, num),
+        FactoredPolynomial((MultiPoly._from_packed(vt, w, forms[p]), 1) for p in den),
+    )
 
 
 def _level_sum(out, items, forms):

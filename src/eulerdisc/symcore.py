@@ -14,7 +14,8 @@ import heapq
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -73,10 +74,10 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-# The product loop keys each monomial by one int holding a w-byte
-# little-endian field per variable.  When every exponent of the product
-# fits in w bytes, the key of a product monomial is the sum of the keys of
-# its factors.
+# The product loop keys each monomial by one int holding a w-byte field per
+# variable, variable 0 in the most significant field, so integer order is
+# lex order.  When every exponent of the product fits in w bytes, the key of
+# a product monomial is the sum of the keys of its factors.
 
 
 def _mul_into(out, big, small):
@@ -97,9 +98,9 @@ def _mul_into(out, big, small):
 def _pack(exps, w):
     """The keys of the exponent tuples exps."""
     if w == 1:
-        return map(int.from_bytes, map(bytes, exps), repeat("little"))
+        return map(int.from_bytes, map(bytes, exps), repeat("big"))
     return (
-        int.from_bytes(b"".join(x.to_bytes(w, "little") for x in e), "little")
+        int.from_bytes(b"".join(x.to_bytes(w, "big") for x in e), "big")
         for e in exps
     )
 
@@ -107,12 +108,18 @@ def _pack(exps, w):
 def _unpack(keys, nv, w):
     """The exponent tuples, of nv variables each, of the keys."""
     if w == 1:
-        return map(tuple, map(int.to_bytes, keys, repeat(nv), repeat("little")))
+        return map(tuple, map(int.to_bytes, keys, repeat(nv), repeat("big")))
     n = nv * w
     return (
-        tuple(int.from_bytes(kb[i : i + w], "little") for i in range(0, n, w))
-        for kb in (k.to_bytes(n, "little") for k in keys)
+        tuple(int.from_bytes(kb[i : i + w], "big") for i in range(0, n, w))
+        for kb in (k.to_bytes(n, "big") for k in keys)
     )
+
+
+def _width(terms):
+    """Bytes per field that hold every exponent of the exponent tuples terms."""
+    top = max(chain.from_iterable(terms), default=0)
+    return max(1, (top.bit_length() + 7) // 8)
 
 
 class MultiPoly:
@@ -141,6 +148,17 @@ class MultiPoly:
         obj = cls.__new__(cls)
         obj.vars = vars
         obj.terms = terms
+        obj._hash = None
+        return obj
+
+    @staticmethod
+    def _from_packed(vars: VarTable, w: int, keys: dict) -> "MultiPoly":
+        """Internal constructor for keys packed at width w (see `_pack`),
+        mapping to nonzero integer coefficients.  The exponent tuples of
+        `.terms` are unpacked on first access; printing reads the keys."""
+        obj = _PackedPoly.__new__(_PackedPoly)
+        obj.vars = vars
+        obj._packed = (w, keys)
         obj._hash = None
         return obj
 
@@ -289,16 +307,38 @@ class MultiPoly:
     # -- evaluation and substitution ------------------------------------
 
     def eval(self, values: Mapping[str, int | Fraction]):
-        """Evaluate at a point given as name -> number (int or Fraction)."""
+        """Evaluate at a point given as name -> number (int or Fraction).
+
+        At a point with a Fraction coordinate, each x_i = a_i / b_i, the sum
+        of c * prod a_i^e_i * b_i^(d_i - e_i), with d_i the degree in x_i,
+        is taken in integers and divided once by prod b_i^d_i.
+        """
         point = [values[name] for name in self.vars.names]
+        if Fraction not in map(type, point):
+            total = 0
+            for e, c in self.terms.items():
+                m = c
+                for v, p in zip(point, e):
+                    if p:
+                        m *= v**p
+                total += m
+            return total
+        den = 1
+        tables = []  # (i, a_i^p * b_i^(d_i - p) for p = 0..d_i) where d_i > 0
+        for i, d in enumerate(map(max, zip(*self.terms))):
+            if d:
+                a, b = point[i].numerator, point[i].denominator
+                if b == 1:
+                    tables.append((i, [a**p for p in range(d + 1)]))
+                else:
+                    tables.append((i, [a**p * b ** (d - p) for p in range(d + 1)]))
+                    den *= b**d
         total = 0
         for e, c in self.terms.items():
-            m = c
-            for v, p in zip(point, e):
-                if p:
-                    m *= v**p
-            total += m
-        return total
+            for i, t in tables:
+                c *= t[e[i]]
+            total += c
+        return Fraction(total, den)
 
     def subs(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (unmapped names map to themselves)."""
@@ -325,27 +365,105 @@ class MultiPoly:
 
     # -- printing -------------------------------------------------------
 
+    def _keys(self):
+        """(w, keys): the terms packed at a width w that holds them."""
+        w = _width(self.terms)
+        return w, dict(zip(_pack(self.terms, w), self.terms.values()))
+
     def __str__(self):
-        terms = self.terms
-        if not terms:
-            return "0"
-        # graded lex, highest first: by exponent tuple, then stably by degree
-        order = sorted(terms, reverse=True)
-        order.sort(key=sum, reverse=True)
-        names = self.vars.names
-        out = []
-        for e in order:
-            c = terms[e]
-            factors = [names[i] if p == 1 else f"{names[i]}^{p}" for i, p in enumerate(e) if p]
-            if not factors or abs(c) != 1:
-                factors.insert(0, str(abs(c)))
-            out.append(" - " if c < 0 else " + ")
-            out.append("*".join(factors))
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        return _format(self.vars.names, *self._keys())
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+class _PackedPoly(MultiPoly):
+    """A MultiPoly from `MultiPoly._from_packed`.  Its `terms` slot stays
+    unset until first read, when `__getattr__` fills it.  A class of its
+    own, because a `__getattr__` on MultiPoly would slow every attribute
+    read of every polynomial."""
+
+    __slots__ = ("_packed",)
+
+    def _keys(self):
+        return self._packed
+
+    def __getattr__(self, name):
+        # reached only for unset slots
+        if name != "terms":
+            raise AttributeError(name)
+        w, keys = self._packed
+        self.terms = dict(zip(_unpack(keys, len(self.vars), w), keys.values()))
+        return self.terms
+
+
+class _Powers(dict):
+    """Memo: key packed at width w over names -> the text of its variable
+    powers joined by "*"."""
+
+    __slots__ = ("names", "w")
+
+    def __init__(self, names, w):
+        self.names, self.w = names, w
+
+    def __missing__(self, k):
+        names, w = self.names, self.w
+        fields = k.to_bytes(len(names), "big") if w == 1 else next(_unpack([k], len(names), w))
+        text = self[k] = "*".join([n if p == 1 else f"{n}^{p}" for n, p in zip(names, fields) if p])
+        return text
+
+
+class _Coefficients(dict):
+    """Memo: coefficient -> the text before a term's variables, its sign
+    and, unless it is 1, its absolute value."""
+
+    __slots__ = ()
+
+    def __missing__(self, c):
+        sign = " - " if c < 0 else " + "
+        text = self[c] = sign if abs(c) == 1 else f"{sign}{abs(c)}*"
+        return text
+
+
+def _format(names, w, keys):
+    """The text of the polynomial whose terms are keys, packed at width w
+    over names, mapped to nonzero coefficients: graded lex order, highest
+    first, each term its coefficient (dropped when 1) and its variable
+    powers joined by "*".
+
+    A key's text joins the memoized texts of its high and low halves.  A
+    dense polynomial has far fewer distinct halves than terms (path6's
+    159,328 terms have 6,782 and 1,623), and in lex order keys that share
+    their high half are adjacent.  No per-term string is built: the pieces
+    are joined once, so the printer stays linear under a profile hook.
+    """
+    if not keys:
+        return "0"
+    nv = len(names)
+    order = sorted(keys, reverse=True)
+    if w == 1:
+        degrees = list(map(sum, map(int.to_bytes, order, repeat(nv), repeat("big"))))
+    else:
+        degrees = list(map(sum, _unpack(order, nv, w)))
+    if min(degrees) != max(degrees):
+        # stable, so lex order holds within a degree
+        order = [k for _, k in sorted(zip(degrees, order), key=itemgetter(0), reverse=True)]
+    del degrees
+    out = []
+    const = keys[order.pop()] if order[-1] == 0 else 0
+    if order:
+        split = (nv + 1) // 2
+        high, low = _Powers(names[:split], w), _Powers(names[split:], w)
+        shift = 8 * w * (nv - split)
+        mask = (1 << shift) - 1
+        coefficient = _Coefficients({1: " + ", -1: " - "})
+        for k in order:
+            h, lo = high[k >> shift], low[k & mask]
+            out += (coefficient[keys[k]], h, "*", lo) if h and lo else (coefficient[keys[k]], h or lo)
+    if const:
+        out.append(f"{' - ' if const < 0 else ' + '}{abs(const)}")
+    out[0] = ("-" if out[0][1] == "-" else "") + out[0][3:]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,18 @@ def poly_str(p):
     return out
 
 
+def eval_fraction(p, values):
+    """The value of p at the point values (name -> int or Fraction), term
+    by term in Fractions."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        m = Fraction(c)
+        for name, k in zip(p.vars.names, e):
+            m *= Fraction(values[name]) ** k
+        total += m
+    return total
+
+
 def psi_value(g, point):
     """Independent oracle: the edge-splitting recursion of the tree g in
     Fractions, at the energies point[f"X{v}"] and point[f"Y{eid}"].

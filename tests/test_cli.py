@@ -160,6 +160,55 @@ class TestRecordedReports:
         assert r.stdout == (FIXTURES / "reports" / record).read_text()
 
 
+PATH5 = "vertices: 5\nedges:\n" + "".join(f"  - [{v}, {v + 1}]\n" for v in range(1, 5))
+PATH6 = "vertices: 6\nedges:\n" + "".join(f"  - [{v}, {v + 1}]\n" for v in range(1, 6))
+
+
+class TestReportPlumbing:
+    # the report is written in pieces, to stdout or to the -o file
+    @pytest.mark.parametrize("args", [
+        ("cosmo-psi", "path5.yaml"),
+        ("pad", str(FIXTURES / "artificial.yaml"), "--check-degree"),
+        ("cosmo-disc", str(FIXTURES / "two_site_graph.yaml")),
+    ])
+    def test_stdout_and_output_file_identical(self, args, tmp_path):
+        (tmp_path / "path5.yaml").write_text(PATH5)
+        out = tmp_path / "report.txt"
+        cmd = [sys.executable, "-m", "eulerdisc.cli", *args]
+        plain = subprocess.run(cmd, capture_output=True, timeout=300, env=ENV, cwd=tmp_path)
+        to_file = subprocess.run(cmd + ["-o", str(out)], capture_output=True, timeout=300,
+                                 env=ENV, cwd=tmp_path)
+        assert plain.returncode == to_file.returncode == 0
+        assert to_file.stdout == b""
+        assert plain.stdout.count(b"--- structured ---\n") == 1
+        assert out.read_bytes() == plain.stdout
+
+    def test_psi_path6_peak_rss(self, tmp_path):
+        # the numerator stays packed until it is printed, and the report is
+        # streamed: path6's run peaks at about 57 MB.  It peaked at about
+        # 93 MB when its 159,328 terms were unpacked and the report joined
+        # into one string, and reaches about 74 MB if only the terms are
+        # unpacked.
+        (tmp_path / "path6.yaml").write_text(PATH6)
+        # a child's peak RSS counts the memory of the process it was forked
+        # from, so the CLI is started from a small Python process rather
+        # than from the test runner, and reports wait4's rusage of the CLI
+        measure = (
+            "import os, subprocess, sys; "
+            "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+            "_, status, usage = os.wait4(p.pid, 0); "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", measure, sys.executable, "-m", "eulerdisc.cli", "cosmo-psi",
+             str(tmp_path / "path6.yaml"), "-o", str(tmp_path / "report.txt")],
+            capture_output=True, text=True, timeout=300, env=ENV,
+        )
+        code, peak_kb = map(int, r.stdout.split())
+        assert code == 0
+        assert peak_kb / 1024 <= 66
+
+
 class TestExitCodes:
     def test_parse_error_is_1(self):
         r = run_cli("pad", str(FIXTURES / "malformed.yaml"))

@@ -4,6 +4,7 @@ discriminants of the associated coefficient families."""
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -30,7 +31,7 @@ from eulerdisc.cosmo import (
 )
 from eulerdisc.matroid import signed_euler_char
 from eulerdisc.symcore import MultiPoly, _mul_into, canonical, parse
-from oracles import psi_value
+from oracles import poly_str, psi_value
 
 
 def two_site():
@@ -258,6 +259,32 @@ class TestWavefunction:
                 for name in psi.num.vars.names
             }
             assert psi_at(psi, point) == psi_value(g, point)
+
+
+class TestPsiPrinting:
+    def test_packed_text_matches_oracle_on_all_small_trees(self, tree_psis):
+        # the numerator prints from its packed keys; the oracle prints the
+        # exponent tuples it unpacks to
+        assert len(tree_psis[:-1]) == 146
+        for g, psi in tree_psis[:-1]:
+            assert str(psi.num) == poly_str(psi.num)
+
+    def test_profile_hook_events_per_term(self, star5_psi):
+        # under a profile hook the printer stays linear: a guard on its
+        # per-term work that does not depend on machine load (a printer
+        # that built each term from a list took 14 events per term)
+        count = [0]
+
+        def hook(*args):
+            count[0] += 1
+
+        num = star5_psi.num
+        sys.setprofile(hook)
+        try:
+            str(num)
+        finally:
+            sys.setprofile(None)
+        assert count[0] <= 14 * len(num.terms)
 
 
 class TestFacetForms:

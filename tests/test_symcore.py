@@ -23,6 +23,7 @@ from eulerdisc.symcore import (
     _mul_into,
     _pack,
     _unpack,
+    _width,
     canonical,
     coprime_basis,
     det,
@@ -32,7 +33,7 @@ from eulerdisc.symcore import (
     poly_gcd,
     try_div,
 )
-from oracles import expand, factor_multiplicity, poly_str
+from oracles import eval_fraction, expand, factor_multiplicity, poly_str
 
 VT = VarTable(["x", "y", "z"])
 
@@ -569,6 +570,23 @@ class TestMulOracle:
             assert MultiPoly(a.vars, got) == c + ab
 
 
+# exponents of every key field width from one to three bytes, mostly zero
+wide_exponent = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, 255, 256, 65536])
+wide_coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(2**63, 2**70))
+
+
+@st.composite
+def wide_polys(draw):
+    """A polynomial over a table of 1 to 12 variables, with a constant term
+    or not."""
+    nv = draw(st.integers(1, 12))
+    vt = VarTable([f"v{i}" for i in range(nv)])
+    terms = draw(st.dictionaries(st.tuples(*[wide_exponent] * nv), wide_coeff, max_size=8))
+    if draw(st.booleans()):
+        terms[(0,) * nv] = draw(wide_coeff)
+    return MultiPoly(vt, terms)
+
+
 class TestPrintOracle:
     """MultiPoly.__str__ against the term-by-term printer, on the zero
     polynomial, constants (the empty table included), negative and wide
@@ -587,6 +605,75 @@ class TestPrintOracle:
                   MultiPoly.zero(empty), parse("-x^300*y + 2*z - 1", VT)):
             assert str(p) == poly_str(p)
         assert str(MultiPoly.const(VT, -7)) == "-7"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=wide_polys(), extra=st.integers(0, 2))
+    def test_wide_tables_and_packed_twin(self, p, extra):
+        # 1 to 12 variables: the text of a key joins its high and low
+        # halves, so either half comes out empty, a single field or full
+        assert str(p) == poly_str(p)
+        assert str(-p) == poly_str(-p)
+        # the same terms packed at a width that holds them, or wider
+        w = _width(p.terms) + extra
+        twin = MultiPoly._from_packed(p.vars, w, dict(zip(_pack(p.terms, w), p.terms.values())))
+        assert str(twin) == str(p)
+        assert twin.terms == p.terms and twin == p
+
+    def test_high_or_low_part_empty(self):
+        vt = VarTable([f"v{i}" for i in range(12)])
+        for text in ("v0", "v11", "v0*v11", "-v9^65536 + v0^255*v5^256", "v0*v1*v2 + v9*v10*v11 + 1",
+                     "-v3 - 1", "v8^2*v9 - 3*v2 + 7", "-1"):
+            p = parse(text, vt)
+            assert str(p) == poly_str(p) == text
+        x = VarTable(["x"])
+        for text in ("x", "-x^65536 + x^256 - x^255 + 2", "5"):
+            assert str(parse(text, x)) == text
+
+    def test_packed_terms_on_first_access(self):
+        vt = VarTable(["a", "b"])
+        keys = dict(zip(_pack([(2, 0), (0, 1)], 1), [3, -1]))
+        p = MultiPoly._from_packed(vt, 1, keys)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(p, "terms")
+        assert str(p) == "3*a^2 - b"
+        assert p.terms == {(2, 0): 3, (0, 1): -1}
+        assert object.__getattribute__(p, "terms") is p.terms
+        with pytest.raises(AttributeError):
+            p.no_such_attribute
+
+
+class TestEvalOracle:
+    """MultiPoly.eval against term-by-term Fraction evaluation, at integer,
+    rational and mixed points."""
+
+    coord = st.one_of(
+        st.integers(-6, 6),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-6, 6)),
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pair=poly_pairs(), data=st.data())
+    def test_matches_fraction_evaluation(self, pair, data):
+        for p in pair:
+            if any(x > 255 for e in p.terms for x in e):
+                continue  # a^(2^64) is out of reach of any evaluation
+            point = {name: data.draw(self.coord) for name in p.vars.names}
+            assert p.eval(point) == eval_fraction(p, point)
+
+    def test_zero_constant_and_edge_points(self):
+        empty = VarTable([])
+        assert MultiPoly.zero(VT).eval({n: Fraction(1, 2) for n in VT.names}) == 0
+        assert MultiPoly.const(VT, -4).eval({n: Fraction(3, 7) for n in VT.names}) == -4
+        assert MultiPoly.const(empty, 5).eval({}) == 5
+        p = parse("3*x^3*y - 2*x*z^2 + y^4 - 1", VT)
+        for point in (
+            {"x": Fraction(-2, 3), "y": Fraction(0), "z": Fraction(5, 4)},
+            {"x": Fraction(4), "y": Fraction(-1), "z": Fraction(-7, 9)},
+            {"x": Fraction(1, 2), "y": 3, "z": 0},
+            {"x": 2, "y": -3, "z": 5},
+        ):
+            assert p.eval(point) == eval_fraction(p, point)
 
 
 class TestFactoredAndRational:
