@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain, repeat
+from contextlib import nullcontext
 
 import click
 
@@ -42,20 +42,16 @@ from .matroid import signed_euler_char
 
 def _emit(human_lines, structured, output):
     """Write the report piece by piece: each human line, the marker, then
-    the JSON block as the encoder yields it, so that no copy of the whole
+    the JSON block as `json.dump` yields it, so that no copy of the whole
     report is built."""
-    pieces = chain(
-        chain.from_iterable(zip(human_lines, repeat("\n"))),
-        ["--- structured ---\n"],
-        json.JSONEncoder(indent=2, sort_keys=True).iterencode(structured),
-        ["\n"],
-    )
-    if output:
-        with open(output, "w") as fh:
-            fh.writelines(pieces)
-    else:
-        out = click.get_text_stream("stdout")
-        out.writelines(pieces)
+    stdout = click.get_text_stream("stdout")
+    with open(output, "w") if output else nullcontext(stdout) as out:
+        for line in human_lines:
+            out.write(line)
+            out.write("\n")
+        out.write("--- structured ---\n")
+        json.dump(structured, out, indent=2, sort_keys=True)
+        out.write("\n")
         out.flush()
 
 

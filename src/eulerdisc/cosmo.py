@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, automorphisms, connected_subgraphs, reachable
-from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _pack
+from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _pack, _width
 
 __all__ = [
     "energy_vars",
@@ -67,8 +67,7 @@ def _psi_term_bound(g: CosmoGraph) -> int:
 def _psi_width(g: CosmoGraph) -> int:
     """Bytes per exponent field of the keys `wavefunction` packs: enough for
     T - (2n - 1), the degree of the numerator."""
-    degree = len(connected_subgraphs(g)) - (2 * g.vertex_count - 1)
-    return max(1, (degree.bit_length() + 7) // 8)
+    return _width(len(connected_subgraphs(g)) - (2 * g.vertex_count - 1))
 
 
 def wavefunction(g: CosmoGraph) -> RationalFunction:

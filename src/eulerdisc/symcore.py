@@ -39,7 +39,7 @@ __all__ = [
 class VarTable:
     """Ordered list of distinct variable names; position defines the order."""
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_texts")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -47,6 +47,7 @@ class VarTable:
             raise InputError("duplicate variable names in table")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._texts = {}  # key width -> the printer's memos (see `_format`)
 
     def __len__(self):
         return len(self.names)
@@ -116,9 +117,8 @@ def _unpack(keys, nv, w):
     )
 
 
-def _width(terms):
-    """Bytes per field that hold every exponent of the exponent tuples terms."""
-    top = max(chain.from_iterable(terms), default=0)
+def _width(top):
+    """Bytes per field of keys whose largest exponent is top."""
     return max(1, (top.bit_length() + 7) // 8)
 
 
@@ -268,8 +268,7 @@ class MultiPoly:
             big, small = small, big
         if not small:
             return MultiPoly.zero(self.vars)
-        top = max(map(max, zip(*big)), default=0) + max(map(max, zip(*small)), default=0)
-        w = max(1, (top.bit_length() + 7) // 8)
+        w = _width(max(map(max, zip(*big)), default=0) + max(map(max, zip(*small)), default=0))
         packed_big = dict(zip(_pack(big, w), big.values()))
         out = _mul_into({}, packed_big, dict(zip(_pack(small, w), small.values())))
         for k in [k for k, c in out.items() if not c]:
@@ -309,20 +308,11 @@ class MultiPoly:
     def eval(self, values: Mapping[str, int | Fraction]):
         """Evaluate at a point given as name -> number (int or Fraction).
 
-        At a point with a Fraction coordinate, each x_i = a_i / b_i, the sum
-        of c * prod a_i^e_i * b_i^(d_i - e_i), with d_i the degree in x_i,
-        is taken in integers and divided once by prod b_i^d_i.
+        With each x_i = a_i / b_i (b_i = 1 at an integer), the sum of
+        c * prod a_i^e_i * b_i^(d_i - e_i), with d_i the degree in x_i, is
+        taken in integers and divided once by prod b_i^d_i.
         """
         point = [values[name] for name in self.vars.names]
-        if Fraction not in map(type, point):
-            total = 0
-            for e, c in self.terms.items():
-                m = c
-                for v, p in zip(point, e):
-                    if p:
-                        m *= v**p
-                total += m
-            return total
         den = 1
         tables = []  # (i, a_i^p * b_i^(d_i - p) for p = 0..d_i) where d_i > 0
         for i, d in enumerate(map(max, zip(*self.terms))):
@@ -338,7 +328,7 @@ class MultiPoly:
             for i, t in tables:
                 c *= t[e[i]]
             total += c
-        return Fraction(total, den)
+        return total if den == 1 else Fraction(total, den)
 
     def subs(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (unmapped names map to themselves)."""
@@ -367,11 +357,11 @@ class MultiPoly:
 
     def _keys(self):
         """(w, keys): the terms packed at a width w that holds them."""
-        w = _width(self.terms)
+        w = _width(max(chain.from_iterable(self.terms), default=0))
         return w, dict(zip(_pack(self.terms, w), self.terms.values()))
 
     def __str__(self):
-        return _format(self.vars.names, *self._keys())
+        return _format(self.vars, *self._keys())
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -425,20 +415,23 @@ class _Coefficients(dict):
         return text
 
 
-def _format(names, w, keys):
+def _format(vars, w, keys):
     """The text of the polynomial whose terms are keys, packed at width w
-    over names, mapped to nonzero coefficients: graded lex order, highest
-    first, each term its coefficient (dropped when 1) and its variable
-    powers joined by "*".
+    over the table vars, mapped to nonzero coefficients: graded lex order,
+    highest first, each term its coefficient (dropped when 1) and its
+    variable powers joined by "*".
 
     A key's text joins the memoized texts of its high and low halves.  A
     dense polynomial has far fewer distinct halves than terms (path6's
     159,328 terms have 6,782 and 1,623), and in lex order keys that share
-    their high half are adjacent.  No per-term string is built: the pieces
+    their high half are adjacent.  The memos live on the table, so the
+    small polynomials of one table, printed again and again, mostly find
+    their halves' texts there.  No per-term string is built: the pieces
     are joined once, so the printer stays linear under a profile hook.
     """
     if not keys:
         return "0"
+    names = vars.names
     nv = len(names)
     order = sorted(keys, reverse=True)
     if w == 1:
@@ -453,7 +446,10 @@ def _format(names, w, keys):
     const = keys[order.pop()] if order[-1] == 0 else 0
     if order:
         split = (nv + 1) // 2
-        high, low = _Powers(names[:split], w), _Powers(names[split:], w)
+        memos = vars._texts.get(w)
+        if memos is None:
+            memos = vars._texts[w] = (_Powers(names[:split], w), _Powers(names[split:], w))
+        high, low = memos
         shift = 8 * w * (nv - split)
         mask = (1 << shift) - 1
         coefficient = _Coefficients({1: " + ", -1: " - "})

@@ -7,7 +7,7 @@ construct-then-check for gcd).
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -614,7 +614,7 @@ class TestPrintOracle:
         assert str(p) == poly_str(p)
         assert str(-p) == poly_str(-p)
         # the same terms packed at a width that holds them, or wider
-        w = _width(p.terms) + extra
+        w = _width(max(chain.from_iterable(p.terms), default=0)) + extra
         twin = MultiPoly._from_packed(p.vars, w, dict(zip(_pack(p.terms, w), p.terms.values())))
         assert str(twin) == str(p)
         assert twin.terms == p.terms and twin == p
@@ -674,6 +674,8 @@ class TestEvalOracle:
             {"x": 2, "y": -3, "z": 5},
         ):
             assert p.eval(point) == eval_fraction(p, point)
+        # an integer point gives an int, with no Fraction in the way
+        assert type(p.eval({"x": 2, "y": -3, "z": 5})) is int
 
 
 class TestFactoredAndRational:
