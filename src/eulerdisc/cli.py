@@ -40,17 +40,48 @@ from .lattice import edge_config, f_vector, lattice_normalize, normalized_volume
 from .matroid import signed_euler_char
 
 
+class _Chunked:
+    """A report value given as a list of chunks, whose join is its text.
+    `_emit` writes the chunks one by one, in a human line or as a JSON
+    string, and never joins them."""
+
+    __slots__ = ("chunks",)
+
+    def __init__(self, chunks):
+        self.chunks = chunks
+
+
 def _emit(human_lines, structured, output):
     """Write the report piece by piece: each human line, the marker, then
-    the JSON block as `json.dump` yields it, so that no copy of the whole
-    report is built."""
+    the JSON block as `json.dump` would write it, so that no copy of the
+    whole report is built.  A line or a structured value may be `_Chunked`.
+    """
+    chunked = []  # the chunks of the value the JSON encoder is at
+
+    def default(value):
+        # the encoder's hook for a value it cannot encode: a `_Chunked`
+        # value stands in as "", the token the encoder yields next
+        if not isinstance(value, _Chunked):
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        chunked.append(value.chunks)
+        return ""
+
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
     stdout = click.get_text_stream("stdout")
     with open(output, "w") if output else nullcontext(stdout) as out:
         for line in human_lines:
-            out.write(line)
+            out.writelines(line.chunks if isinstance(line, _Chunked) else (line,))
             out.write("\n")
         out.write("--- structured ---\n")
-        json.dump(structured, out, indent=2, sort_keys=True)
+        for token in encoder.iterencode(structured):
+            if chunked:
+                # JSON escapes each character on its own, so the escaped
+                # chunks join to the escaped text
+                out.write('"')
+                out.writelines(json.dumps(chunk)[1:-1] for chunk in chunked.pop())
+                out.write('"')
+            else:
+                out.write(token)
         out.write("\n")
         out.flush()
 
@@ -202,22 +233,24 @@ def cosmo_psi(input_path, output):
         doc, _ = _load(input_path, ("cosmo",))
         g = ingest_cosmo(doc)
         psi = wavefunction(g)
-        # format once, and drop the polynomial: path6's numerator is about
-        # 5 MB of text and 159,328 terms
-        num = str(psi.num)
+        # path6's numerator is 159,328 terms and about 5 MB of text: it is
+        # printed in chunks, which the report writes one by one, and the
+        # polynomial is dropped once they exist
+        num = psi.num.text_chunks()
         den = str(psi.den)
         if psi.den_const != 1:
             den = f"{psi.den_const} * {den}"
         structured = {
             "command": "cosmo-psi",
-            "numerator": num,
+            "numerator": _Chunked(num),
             "denominator_constant": psi.den_const,
             "denominator_factors": [
                 {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
             ],
         }
         del psi
-        lines = ["wavefunction coefficient", f"numerator = {num}", f"denominator = {den}"]
+        lines = ["wavefunction coefficient", _Chunked(["numerator = ", *num]),
+                 f"denominator = {den}"]
         _emit(lines, structured, output)
 
     _run(body)

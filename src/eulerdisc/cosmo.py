@@ -51,9 +51,13 @@ class LinearForm:
 # Wavefunction recursion (trees)
 
 
-# path6's bound, 184,756 (159,328 actual terms, about 57 MB peak RSS in
-# `cosmo-psi`), is admitted; the next 6-vertex tree's, 1,144,066, is not
-MAX_PSI_TERMS = 500_000
+# A tree the gate admits runs `cosmo-psi` within a budget of 512 MB peak
+# RSS.  Measured CLI peaks (Python 3.11, 2-CPU host), by bound: path6
+# 184,756, 45 MB; spur6 (edges 1-2, 2-3, 3-4, 4-5, 2-6) 1,144,066, 251 MB
+# and 13 s of CPU.  The next 6-vertex tree, spur6b (3-6 for the last
+# edge), bounds 1,961,256 and peaks at 462 MB, too close to the budget to
+# admit; caterpillar6 bounds 8,436,285 and star6 254,186,856.
+MAX_PSI_TERMS = 1_200_000
 
 
 def _psi_term_bound(g: CosmoGraph) -> int:
@@ -149,6 +153,11 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
         return out
 
     num, den = psi(frozenset(range(1, g.vertex_count + 1)), {})
+    # psi calls itself through its closure cell, a reference cycle that
+    # would keep the memo, and every subtree numerator in it, alive until
+    # the cyclic collector runs.  Emptying the cell breaks it: they are
+    # freed when this function returns.
+    del psi
     return RationalFunction(
         MultiPoly._from_packed(vt, w, num),
         FactoredPolynomial((MultiPoly._from_packed(vt, w, forms[p]), 1) for p in den),

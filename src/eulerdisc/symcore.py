@@ -360,8 +360,12 @@ class MultiPoly:
         w = _width(max(chain.from_iterable(self.terms), default=0))
         return w, dict(zip(_pack(self.terms, w), self.terms.values()))
 
-    def __str__(self):
+    def text_chunks(self):
+        """The text of `str(self)` as a list of chunks, whose join it is."""
         return _format(self.vars, *self._keys())
+
+    def __str__(self):
+        return "".join(self.text_chunks())
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -415,11 +419,18 @@ class _Coefficients(dict):
         return text
 
 
+# terms per chunk of `_format`'s text: path6's 159,328-term numerator comes
+# out in 39 chunks of about 120 kB, and a small polynomial in one
+_CHUNK_TERMS = 4096
+
+
 def _format(vars, w, keys):
     """The text of the polynomial whose terms are keys, packed at width w
     over the table vars, mapped to nonzero coefficients: graded lex order,
     highest first, each term its coefficient (dropped when 1) and its
-    variable powers joined by "*".
+    variable powers joined by "*".  It comes as a list of chunks, each the
+    text of up to _CHUNK_TERMS terms, so that a caller can write a large
+    polynomial without ever holding its text as one string.
 
     A key's text joins the memoized texts of its high and low halves.  A
     dense polynomial has far fewer distinct halves than terms (path6's
@@ -427,10 +438,11 @@ def _format(vars, w, keys):
     their high half are adjacent.  The memos live on the table, so the
     small polynomials of one table, printed again and again, mostly find
     their halves' texts there.  No per-term string is built: the pieces
-    are joined once, so the printer stays linear under a profile hook.
+    of a chunk are joined once, so the printer stays linear under a
+    profile hook.
     """
     if not keys:
-        return "0"
+        return ["0"]
     names = vars.names
     nv = len(names)
     order = sorted(keys, reverse=True)
@@ -442,7 +454,7 @@ def _format(vars, w, keys):
         # stable, so lex order holds within a degree
         order = [k for _, k in sorted(zip(degrees, order), key=itemgetter(0), reverse=True)]
     del degrees
-    out = []
+    chunks = []
     const = keys[order.pop()] if order[-1] == 0 else 0
     if order:
         split = (nv + 1) // 2
@@ -453,13 +465,17 @@ def _format(vars, w, keys):
         shift = 8 * w * (nv - split)
         mask = (1 << shift) - 1
         coefficient = _Coefficients({1: " + ", -1: " - "})
-        for k in order:
-            h, lo = high[k >> shift], low[k & mask]
-            out += (coefficient[keys[k]], h, "*", lo) if h and lo else (coefficient[keys[k]], h or lo)
+        for start in range(0, len(order), _CHUNK_TERMS):
+            out = []
+            for k in order[start : start + _CHUNK_TERMS]:
+                h, lo = high[k >> shift], low[k & mask]
+                out += (coefficient[keys[k]], h, "*", lo) if h and lo else (coefficient[keys[k]], h or lo)
+            if not start:
+                out[0] = ("-" if out[0][1] == "-" else "") + out[0][3:]
+            chunks.append("".join(out))
     if const:
-        out.append(f"{' - ' if const < 0 else ' + '}{abs(const)}")
-    out[0] = ("-" if out[0][1] == "-" else "") + out[0][3:]
-    return "".join(out)
+        chunks.append(f"{' - ' if const < 0 else ' + '}{abs(const)}" if chunks else str(const))
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +839,7 @@ def coprime_basis(ps):
             q = canonical(q)[0]
             if not q.is_constant:
                 work.append(q)
-    return sorted(basis, key=_basis_key)
+    return sorted(basis, key=_BasisKey)
 
 
 def _common_factor(a, a_lin, b, b_lin):
@@ -843,8 +859,27 @@ def _common_factor(a, a_lin, b, b_lin):
     return None if g.is_constant else g
 
 
-def _basis_key(p: MultiPoly):
-    return (p.total_degree(), tuple(-x for x in p.leading_exponent()), str(p))
+class _BasisKey:
+    """Sort key of a basis member p: ascending total degree, then
+    descending leading exponent, then the text of p.  The text is printed
+    only to break a tie in the first two, and then once."""
+
+    __slots__ = ("p", "head", "_text")
+
+    def __init__(self, p: MultiPoly):
+        self.p = p
+        self.head = (p.total_degree(), tuple(-x for x in p.leading_exponent()))
+        self._text = None
+
+    def text(self):
+        if self._text is None:
+            self._text = str(self.p)
+        return self._text
+
+    def __lt__(self, other):
+        if self.head != other.head:
+            return self.head < other.head
+        return self.text() < other.text()
 
 
 # ---------------------------------------------------------------------------
@@ -917,7 +952,7 @@ class FactoredPolynomial:
             if q in seen:
                 raise ValueError(f"repeated factor {q}")
             seen[q] = int(e)
-        self.factors = tuple(sorted(seen.items(), key=lambda fe: _basis_key(fe[0])))
+        self.factors = tuple(sorted(seen.items(), key=lambda fe: _BasisKey(fe[0])))
 
     def __iter__(self):
         return iter(self.factors)

@@ -7,7 +7,6 @@ wall-clock budget.  Run with `pytest -s` to see the per-criterion lines.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from eulerdisc.graphs import (
     BipartiteSubgraph,
@@ -38,7 +37,6 @@ from eulerdisc.cosmo import (
     cosmo_euler_disc,
     cosmo_pad,
     facet_forms,
-    wavefunction,
 )
 from eulerdisc.symcore import MultiPoly, VarTable, parse
 
@@ -256,7 +254,7 @@ def test_criterion_5_z1_z2_families():
         assert "no-rational-witness" in flags[cubic]
 
 
-def test_criterion_6_property_suites():
+def test_criterion_6_property_suites(small_tree_psis):
     with _Criterion(6, 300):
         # (a) Hall condition <=> saturating matching, and matching <=>
         # nonzero determinant, exhaustively on patterns up to 4+4
@@ -326,31 +324,10 @@ def test_criterion_6_property_suites():
 
         # (e) psi denominator factors = facet forms on all trees up to 5
         # vertices
-        def spans(n, edges):
-            seen = {1}
-            frontier = [1]
-            while frontier:
-                v = frontier.pop()
-                for a, b in edges:
-                    w = b if a == v else a if b == v else None
-                    if w is not None and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            return len(seen) == n
-
-        for n in range(1, 6):
-            if n == 1:
-                trees = [CosmoGraph.from_pairs(1, [])]
-            else:
-                trees = [
-                    CosmoGraph.from_pairs(n, list(cand))
-                    for cand in combinations(combinations(range(1, n + 1), 2), n - 1)
-                    if spans(n, cand)
-                ]
-            for g in trees:
-                psi = wavefunction(g)
-                den = {p for p, _ in psi.den.as_pairs()}
-                assert den == {str(f.constant) for f in facet_forms(g)}
+        assert len(small_tree_psis) == 146
+        for g, psi in small_tree_psis:
+            den = {p for p, _ in psi.den.as_pairs()}
+            assert den == {str(f.constant) for f in facet_forms(g)}
 
         # (f) expression round-trip and evaluation homomorphism
         vt = VarTable(["x", "y", "z"])

@@ -1,12 +1,13 @@
 """Tests for wavefunction coefficients, facet hyperplanes, and the
 discriminants of the associated coefficient families."""
 
+import gc
 import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,9 @@ from eulerdisc.cosmo import (
     wavefunction,
 )
 from eulerdisc.matroid import signed_euler_char
+import eulerdisc.symcore as symcore
 from eulerdisc.symcore import MultiPoly, _mul_into, canonical, parse
+from conftest import all_trees
 from oracles import poly_str, psi_value
 
 
@@ -103,40 +106,19 @@ def psi_at(psi, point):
     return total / den
 
 
-def spans(n, edges):
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for a, b in edges:
-            w = b if a == v else a if b == v else None
-            if w is not None and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == n
-
-
-def all_trees(n):
-    """Every labelled tree on the vertices 1..n."""
-    if n == 1:
-        yield CosmoGraph.from_pairs(1, [])
-        return
-    verts = range(1, n + 1)
-    for cand in combinations(combinations(verts, 2), n - 1):
-        if spans(n, cand):
-            yield CosmoGraph.from_pairs(n, list(cand))
-
-
 def path6():
     return CosmoGraph.from_pairs(6, [(v, v + 1) for v in range(1, 6)])
 
 
 @pytest.fixture(scope="module")
-def tree_psis():
+def tree_psis(small_tree_psis):
     """(g, wavefunction(g)) for all 146 labelled trees on up to 5 vertices,
-    then the 6-path: each wavefunction is built once for the module."""
-    graphs = [g for n in range(1, 6) for g in all_trees(n)] + [path6()]
-    return [(g, wavefunction(g)) for g in graphs]
+    then the 6-path: each wavefunction is built once."""
+    return small_tree_psis + [(path6(), wavefunction(path6()))]
+
+
+def spur6():
+    return CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
 
 
 def star5():
@@ -211,7 +193,8 @@ class TestWavefunction:
         monkeypatch.setattr(MultiPoly, "_raw", boom)
         star6 = CosmoGraph.from_pairs(6, [(1, v) for v in range(2, 7)])
         caterpillar6 = CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
-        for g, bound in ((star6, 254_186_856), (caterpillar6, 8_436_285)):
+        spur6b = CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+        for g, bound in ((star6, 254_186_856), (caterpillar6, 8_436_285), (spur6b, 1_961_256)):
             assert _psi_term_bound(g) == bound
             with pytest.raises(SizeLimitError, match=f"{bound} terms"):
                 wavefunction(g)
@@ -260,14 +243,30 @@ class TestWavefunction:
             }
             assert psi_at(psi, point) == psi_value(g, point)
 
+    def test_leaves_no_cyclic_garbage(self):
+        # the recursion's memo, and every subtree numerator in it, is freed
+        # by reference counting once the result is dropped
+        gc.collect()
+        gc.disable()
+        try:
+            psi = wavefunction(path6())
+            del psi
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestPsiPrinting:
-    def test_packed_text_matches_oracle_on_all_small_trees(self, tree_psis):
-        # the numerator prints from its packed keys; the oracle prints the
+    def test_packed_text_matches_oracle_on_all_small_trees(self, tree_psis, monkeypatch):
+        # the numerator prints from its packed keys, in chunks of 7 terms
+        # here, so that most numerators take several; the oracle prints the
         # exponent tuples it unpacks to
+        monkeypatch.setattr(symcore, "_CHUNK_TERMS", 7)
         assert len(tree_psis[:-1]) == 146
         for g, psi in tree_psis[:-1]:
-            assert str(psi.num) == poly_str(psi.num)
+            chunks = psi.num.text_chunks()
+            assert len(chunks) == -(-len(psi.num.terms) // 7)
+            assert "".join(chunks) == str(psi.num) == poly_str(psi.num)
 
     def test_profile_hook_events_per_term(self, star5_psi):
         # under a profile hook the printer stays linear: a guard on its
@@ -343,12 +342,22 @@ class TestFacetForms:
 
     def test_packed_width_holds_numerator_degree(self, tree_psis):
         # the gate admits every tree on up to 5 vertices and, of the
-        # 6-vertex trees, only the paths; each numerator is homogeneous of
-        # degree T - (2n - 1), which the width derived from T holds
+        # 6-vertex trees, the 360 paths and the 360 spur6 shapes (a vertex
+        # of degree 3 with two leaf neighbours); each numerator is
+        # homogeneous of degree T - (2n - 1), which the width derived from
+        # T holds
         admitted6 = [g for g in all_trees(6) if _psi_term_bound(g) <= MAX_PSI_TERMS]
-        assert len(admitted6) == 360
+        assert len(admitted6) == 720
+        shapes = Counter()
         for g in admitted6:
-            assert max(sum(v in e[:2] for e in g.edges) for v in range(1, 7)) == 2
+            degree = {v: sum(v in e[:2] for e in g.edges) for v in range(1, 7)}
+            hubs = [v for v in degree if degree[v] > 2]
+            leaves = [
+                sum(degree[i + j - v] == 1 for i, j, _ in g.edges if v in (i, j))
+                for v in hubs
+            ]
+            shapes[tuple(leaves)] += 1
+        assert shapes == {(): 360, (2,): 360}
         for g, psi in tree_psis:
             n = g.vertex_count
             degree = len(connected_subgraphs(g)) - (2 * n - 1)
@@ -469,6 +478,8 @@ class TestPsiRegression:
     SHA256 = {
         "star5": "f6351613745a6035a6249c462a418ce8509723b6a9d4b6c84a47d998c9b64c35",
         "path6": "c1b2d68052f8024c4cc4a26d328c0050b068b1c1f205350176b734eedee46757",
+        # recorded with the earlier, lower term limit lifted
+        "spur6": "f440caf3d4da7de9a7c82684d457a2742c8ef7e45659ff39c59d12cbe027811b",
     }
     # multiply-kernel pair updates, len(big) * len(small) per call, of the
     # Horner level sum; one product per edge term and missing form took
@@ -480,6 +491,12 @@ class TestPsiRegression:
         assert g.edges == path6().edges
         for name, psi in (("star5", star5_psi), ("path6", path6_psi)):
             assert hashlib.sha256(str(psi).encode()).hexdigest() == self.SHA256[name]
+
+    def test_spur6_recorded_text(self):
+        # the largest tree the term limit admits: 1,041,532 terms
+        assert _psi_term_bound(spur6()) == 1_144_066 <= MAX_PSI_TERMS
+        text = str(wavefunction(spur6()))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256["spur6"]
 
     def test_pair_updates(self, monkeypatch):
         # a guard on the work the recursion does that does not depend on

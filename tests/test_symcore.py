@@ -8,11 +8,13 @@ construct-then-check for gcd).
 import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerdisc.symcore as symcore
 from eulerdisc.errors import InputError
 from eulerdisc.kernels import det_adj
 from eulerdisc.symcore import (
@@ -20,6 +22,7 @@ from eulerdisc.symcore import (
     MultiPoly,
     RationalFunction,
     VarTable,
+    _BasisKey,
     _mul_into,
     _pack,
     _unpack,
@@ -337,6 +340,32 @@ class TestCoprimeBasisOracle:
         assert len(basis) == 3
 
 
+class TestBasisOrder:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ps=st.lists(st.one_of(linear_factor, quadratic_factor), max_size=8))
+    def test_matches_the_full_key(self, ps):
+        # the text breaks ties only, so the order is that of the full key
+        assert sorted(ps, key=_BasisKey) == sorted(ps, key=basis_key)
+
+    def test_prints_only_to_break_ties(self, monkeypatch):
+        printed = []
+        text = MultiPoly.__str__
+
+        def counting(p):
+            printed.append(p)
+            return text(p)
+
+        monkeypatch.setattr(MultiPoly, "__str__", counting)
+        tied = [parse("x - y + 2*z", VT), parse("x + y", VT)]
+        ps = [parse("x*y + 1", VT), parse("y + z", VT), *tied]
+        assert coprime_basis(ps) == [tied[1], tied[0], ps[1], ps[0]]
+        assert len(printed) == 2 and set(printed) == set(tied)
+        printed.clear()
+        f = FactoredPolynomial([(p, 1) for p in ps])
+        assert [p for p, _ in f] == [tied[1], tied[0], ps[1], ps[0]]
+        assert len(printed) == 2 and set(printed) == set(tied)
+
+
 class TestDet:
     def test_matches_cofactor_oracle_4x4(self):
         rng = random.Random(61)
@@ -598,6 +627,18 @@ class TestPrintOracle:
         for p in pair:
             assert str(p) == poly_str(p)
             assert str(-p) == poly_str(-p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(p=wide_polys(), size=st.integers(1, 3))
+    def test_chunks_join_to_the_text(self, p, size):
+        # each chunk holds the text of up to _CHUNK_TERMS terms, and a
+        # constant term comes as a chunk of its own
+        with mock.patch.object(symcore, "_CHUNK_TERMS", size):
+            chunks = p.text_chunks()
+        assert "".join(chunks) == poly_str(p)
+        const = (0,) * len(p.vars) in p.terms
+        assert len(chunks) == max(1, -(-(len(p.terms) - const) // size) + const)
+        assert all(chunks)
 
     def test_explicit_edge_cases(self):
         empty = VarTable([])
