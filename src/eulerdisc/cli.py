@@ -6,38 +6,22 @@ deterministic JSON block introduced by a `--- structured ---` marker.
 Identical inputs and seeds produce byte-identical reports.
 
 Exit codes: 1 for input and parse errors, 2 for hypothesis violations
-(e.g. a disconnected graph), 3 for size-limit refusals.
+(e.g. a disconnected graph) and for usage errors, 3 for size-limit
+refusals.
+
+Each command imports its pipeline in its own body, so a call loads only
+the modules it runs, and `--version` and `--help` load none.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from contextlib import nullcontext
 
-import click
-
 from . import __version__
-from .cosmo import (
-    cosmo_euler_disc,
-    cosmo_pad,
-    cosmo_pattern,
-    facet_forms,
-    wavefunction,
-)
-from .discriminant import degree_check, euler_disc, pad_sparse
 from .errors import HypothesisError, InputError, SizeLimitError
-from .formats import (
-    document_kind,
-    ingest_cosmo,
-    ingest_family,
-    ingest_matrix,
-    ingest_pattern,
-    load_document,
-)
-from .graphs import is_connected
-from .lattice import edge_config, f_vector, lattice_normalize, normalized_volume
-from .matroid import signed_euler_char
 
 
 class _Chunked:
@@ -67,8 +51,7 @@ def _emit(human_lines, structured, output):
         return ""
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
-    stdout = click.get_text_stream("stdout")
-    with open(output, "w") if output else nullcontext(stdout) as out:
+    with open(output, "w") if output else nullcontext(sys.stdout) as out:
         for line in human_lines:
             out.writelines(line.chunks if isinstance(line, _Chunked) else (line,))
             out.write("\n")
@@ -87,6 +70,8 @@ def _emit(human_lines, structured, output):
 
 
 def _load(path, expected_kinds):
+    from .formats import document_kind, load_document
+
     doc = load_document(path)
     kind = document_kind(doc)
     if kind not in expected_kinds:
@@ -96,27 +81,18 @@ def _load(path, expected_kinds):
     return doc, kind
 
 
-def _run(body):
-    try:
-        body()
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except HypothesisError as exc:
-        click.echo(f"hypothesis violation: {exc}", err=True)
-        sys.exit(2)
-    except SizeLimitError as exc:
-        click.echo(f"size limit: {exc}", err=True)
-        sys.exit(3)
-
-
 def _load_pattern(path):
     """The pattern graph of a pattern or energy-graph document, which must
     be connected."""
+    from .formats import ingest_cosmo, ingest_pattern
+    from .graphs import is_connected
+
     doc, kind = _load(path, ("pattern", "cosmo"))
     if kind == "pattern":
         g = ingest_pattern(doc)
     else:
+        from .cosmo import cosmo_pattern
+
         g = cosmo_pattern(ingest_cosmo(doc))
     if not is_connected(g):
         raise HypothesisError(
@@ -125,184 +101,203 @@ def _load_pattern(path):
     return g
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="eulerdisc")
-def main():
-    """Principal A-determinants and Euler discriminants of sparse
-    hyperplane arrangements."""
+def _load_cosmo(path):
+    from .formats import ingest_cosmo
+
+    doc, _ = _load(path, ("cosmo",))
+    return ingest_cosmo(doc)
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--check-degree", is_flag=True, help="Verify the degree identity against the edge polytope volume.")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def pad(input_path, check_degree, output):
+# name -> (run, options); `run(args)` gets the parsed arguments
+_COMMANDS = {}
+
+_OUTPUT = (("-o", "--output"), dict(metavar="FILE", help="Write the report to a file instead of stdout."))
+_SEED = (("--seed",), dict(type=int, default=0, metavar="INTEGER",
+                           help="Random seed for sampling and witness search.  [default: %(default)s]"))
+_NO_WITNESS = (("--no-witness",), dict(action="store_true",
+                                       help="Skip the witness search; exponents report unknown."))
+
+
+def _command(name, *options):
+    """Register the decorated `run(args)` as the subcommand `name`: its
+    docstring is the help, and it takes INPUT and then `options`, each a
+    pair of flags and `add_argument` keywords."""
+
+    def register(run):
+        _COMMANDS[name] = (run, options)
+        return run
+
+    return register
+
+
+@_command("pad", (("--check-degree",), dict(
+    action="store_true", help="Verify the degree identity against the edge polytope volume.")), _OUTPUT)
+def pad(args):
     """Principal A-determinant of a bipartite pattern (or energy graph)."""
+    from .discriminant import degree_check, pad_sparse
+    from .lattice import edge_config
 
-    def body():
-        g = _load_pattern(input_path)
-        e = pad_sparse(g)
-        lines = ["principal A-determinant", f"E_A = {e}",
-                 f"degree = {e.total_degree()}", f"factors = {len(e.factors)}"]
-        structured = {
-            "command": "pad",
-            "degree": e.total_degree(),
-            "factors": [{"poly": p, "exponent": k} for p, k in e.as_pairs()],
-        }
-        if check_degree:
-            ok = degree_check(e, edge_config(g))
-            lines.append(f"degree identity: {'ok' if ok else 'MISMATCH'}")
-            structured["degree_identity"] = ok
-        _emit(lines, structured, output)
-
-    _run(body)
+    g = _load_pattern(args.input)
+    e = pad_sparse(g)
+    lines = ["principal A-determinant", f"E_A = {e}",
+             f"degree = {e.total_degree()}", f"factors = {len(e.factors)}"]
+    structured = {
+        "command": "pad",
+        "degree": e.total_degree(),
+        "factors": [{"poly": p, "exponent": k} for p, k in e.as_pairs()],
+    }
+    if args.check_degree:
+        ok = degree_check(e, edge_config(g))
+        lines.append(f"degree identity: {'ok' if ok else 'MISMATCH'}")
+        structured["degree_identity"] = ok
+    _emit(lines, structured, args.output)
 
 
-@main.command("euler-disc")
-@click.argument("input_path", metavar="INPUT")
-@click.option("--seed", default=0, show_default=True, help="Random seed for sampling and witness search.")
-@click.option("--no-witness", is_flag=True, help="Skip the witness search; exponents report unknown.")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def euler_disc_cmd(input_path, seed, no_witness, output):
+@_command("euler-disc", _SEED, _NO_WITNESS, _OUTPUT)
+def euler_disc_cmd(args):
     """Euler discriminant of a parametrized family, with multiplicities."""
+    from .discriminant import euler_disc
+    from .formats import ingest_family
 
-    def body():
-        doc, _ = _load(input_path, ("family",))
-        fam = ingest_family(doc)
-        rep = euler_disc(fam, seed=seed, find_witnesses=not no_witness)
-        structured = {"command": "euler-disc", "seed": seed}
-        structured.update(rep.to_dict())
-        _emit(str(rep).splitlines(), structured, output)
-
-    _run(body)
+    doc, _ = _load(args.input, ("family",))
+    rep = euler_disc(ingest_family(doc), seed=args.seed, find_witnesses=not args.no_witness)
+    structured = {"command": "euler-disc", "seed": args.seed}
+    structured.update(rep.to_dict())
+    _emit(str(rep).splitlines(), structured, args.output)
 
 
-@main.command("beta")
-@click.argument("input_path", metavar="INPUT")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def beta_cmd(input_path, output):
+@_command("beta", _OUTPUT)
+def beta_cmd(args):
     """Signed Euler characteristic of the arrangement complement whose
     coefficient block is the given matrix (the Crapo beta invariant of
     the matrix prefixed with an identity block)."""
+    from .formats import ingest_matrix
+    from .matroid import signed_euler_char
 
-    def body():
-        doc, _ = _load(input_path, ("matrix",))
-        rows = ingest_matrix(doc)
-        value = signed_euler_char(rows)
-        _emit(
-            [f"beta = {value}"],
-            {"command": "beta", "beta": value},
-            output,
-        )
-
-    _run(body)
+    doc, _ = _load(args.input, ("matrix",))
+    value = signed_euler_char(ingest_matrix(doc))
+    _emit([f"beta = {value}"], {"command": "beta", "beta": value}, args.output)
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT")
-@click.option("--max-points", default=None, type=int, help="Override the point-count bound for face enumeration.")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def polytope(input_path, max_points, output):
+@_command("polytope", (("--max-points",), dict(
+    type=int, metavar="INTEGER", help="Override the point-count bound for face enumeration.")), _OUTPUT)
+def polytope(args):
     """Dimension, normalized volume, and f-vector of an edge polytope."""
+    from .lattice import edge_config, f_vector, lattice_normalize, normalized_volume
 
-    def body():
-        g = _load_pattern(input_path)
-        c = edge_config(g)
-        d, _ = lattice_normalize(c)
-        vol = normalized_volume(c)
-        fv = f_vector(c, max_points=max_points)
-        lines = [f"dimension = {d}", f"volume = {vol}",
-                 f"f-vector = {tuple(fv)}"]
-        _emit(
-            lines,
-            {"command": "polytope", "dimension": d, "volume": vol,
-             "f_vector": list(fv)},
-            output,
-        )
-
-    _run(body)
+    c = edge_config(_load_pattern(args.input))
+    d, _ = lattice_normalize(c)
+    vol = normalized_volume(c)
+    fv = f_vector(c, max_points=args.max_points)
+    lines = [f"dimension = {d}", f"volume = {vol}", f"f-vector = {tuple(fv)}"]
+    _emit(
+        lines,
+        {"command": "polytope", "dimension": d, "volume": vol, "f_vector": list(fv)},
+        args.output,
+    )
 
 
-@main.command("cosmo-psi")
-@click.argument("input_path", metavar="INPUT")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def cosmo_psi(input_path, output):
+@_command("cosmo-psi", _OUTPUT)
+def cosmo_psi(args):
     """Flat-space wavefunction coefficient of a tree."""
+    from .cosmo import wavefunction
 
-    def body():
-        doc, _ = _load(input_path, ("cosmo",))
-        g = ingest_cosmo(doc)
-        psi = wavefunction(g)
-        # path6's numerator is 159,328 terms and about 5 MB of text: it is
-        # printed in chunks, which the report writes one by one, and the
-        # polynomial is dropped once they exist
-        num = psi.num.text_chunks()
-        den = str(psi.den)
-        if psi.den_const != 1:
-            den = f"{psi.den_const} * {den}"
-        structured = {
-            "command": "cosmo-psi",
-            "numerator": _Chunked(num),
-            "denominator_constant": psi.den_const,
-            "denominator_factors": [
-                {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
-            ],
-        }
-        del psi
-        lines = ["wavefunction coefficient", _Chunked(["numerator = ", *num]),
-                 f"denominator = {den}"]
-        _emit(lines, structured, output)
-
-    _run(body)
+    psi = wavefunction(_load_cosmo(args.input))
+    # path6's numerator is 159,328 terms and about 5 MB of text: it is
+    # printed in chunks, which the report writes one by one, and the
+    # polynomial is dropped once they exist
+    num = psi.num.text_chunks()
+    den = str(psi.den)
+    if psi.den_const != 1:
+        den = f"{psi.den_const} * {den}"
+    structured = {
+        "command": "cosmo-psi",
+        "numerator": _Chunked(num),
+        "denominator_constant": psi.den_const,
+        "denominator_factors": [
+            {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
+        ],
+    }
+    del psi
+    lines = ["wavefunction coefficient", _Chunked(["numerator = ", *num]),
+             f"denominator = {den}"]
+    _emit(lines, structured, args.output)
 
 
-@main.command("cosmo-facets")
-@click.argument("input_path", metavar="INPUT")
-@click.option("--max-vertices", default=8, show_default=True, help="Vertex bound for subgraph enumeration.")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def cosmo_facets(input_path, max_vertices, output):
+@_command("cosmo-facets", (("--max-vertices",), dict(
+    type=int, default=8, metavar="INTEGER",
+    help="Vertex bound for subgraph enumeration.  [default: %(default)s]")), _OUTPUT)
+def cosmo_facets(args):
     """Facet hyperplanes of the polytope attached to an energy graph."""
+    from .cosmo import facet_forms
 
-    def body():
-        doc, _ = _load(input_path, ("cosmo",))
-        g = ingest_cosmo(doc)
-        forms = facet_forms(g, max_vertices=max_vertices)
-        lines = [f"facets = {len(forms)}"]
-        for f in forms:
-            lines.append(f"  {f.constant}  alpha={''.join(map(str, f.alpha))}")
-        _emit(
-            lines,
-            {
-                "command": "cosmo-facets",
-                "facets": [
-                    {"constant": str(f.constant), "alpha": list(f.alpha)}
-                    for f in forms
-                ],
-            },
-            output,
-        )
-
-    _run(body)
+    forms = facet_forms(_load_cosmo(args.input), max_vertices=args.max_vertices)
+    lines = [f"facets = {len(forms)}"]
+    for f in forms:
+        lines.append(f"  {f.constant}  alpha={''.join(map(str, f.alpha))}")
+    _emit(
+        lines,
+        {
+            "command": "cosmo-facets",
+            "facets": [
+                {"constant": str(f.constant), "alpha": list(f.alpha)}
+                for f in forms
+            ],
+        },
+        args.output,
+    )
 
 
-@main.command("cosmo-disc")
-@click.argument("input_path", metavar="INPUT")
-@click.option("--seed", default=0, show_default=True, help="Random seed for sampling and witness search.")
-@click.option("--no-witness", is_flag=True, help="Skip the witness search; exponents report unknown.")
-@click.option("-o", "--output", default=None, help="Write the report to a file instead of stdout.")
-def cosmo_disc(input_path, seed, no_witness, output):
+@_command("cosmo-disc", _SEED, _NO_WITNESS, _OUTPUT)
+def cosmo_disc(args):
     """Euler discriminant of the physical coefficient family of an
     energy graph."""
+    from .cosmo import cosmo_euler_disc
 
-    def body():
-        doc, _ = _load(input_path, ("cosmo",))
-        g = ingest_cosmo(doc)
-        rep = cosmo_euler_disc(g, seed=seed, find_witnesses=not no_witness)
-        structured = {"command": "cosmo-disc", "seed": seed}
-        structured.update(rep.to_dict())
-        _emit(str(rep).splitlines(), structured, output)
+    rep = cosmo_euler_disc(_load_cosmo(args.input), seed=args.seed,
+                           find_witnesses=not args.no_witness)
+    structured = {"command": "cosmo-disc", "seed": args.seed}
+    structured.update(rep.to_dict())
+    _emit(str(rep).splitlines(), structured, args.output)
 
-    _run(body)
+
+def _parser(add_parser, **kwargs):
+    """A parser with `--help` but no `-h`, and no abbreviated long
+    options."""
+    parser = add_parser(add_help=False, allow_abbrev=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Principal A-determinants and Euler discriminants of sparse
+    hyperplane arrangements.
+
+    Parses `args` (default: sys.argv[1:]) and runs the command.  Returns
+    on success; raises SystemExit with the exit code otherwise."""
+    parser = _parser(argparse.ArgumentParser, prog=prog_name or "eulerdisc",
+                     description=main.__doc__.split("\n\n")[0])
+    parser.add_argument("--version", action="version", version=f"eulerdisc, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (run, options) in _COMMANDS.items():
+        sub = _parser(commands.add_parser, name=name, help=run.__doc__, description=run.__doc__)
+        sub.add_argument("input", metavar="INPUT")
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=run)
+    parsed = parser.parse_args(args)
+    try:
+        parsed.run(parsed)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except HypothesisError as exc:
+        print(f"hypothesis violation: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except SizeLimitError as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

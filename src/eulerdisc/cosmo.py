@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
@@ -38,8 +37,7 @@ def energy_vars(g: CosmoGraph) -> VarTable:
     return VarTable(names)
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """A facet hyperplane: constant part in (X, Y) plus 0/1 coefficients
     for the shifted vertex variables."""
 
@@ -270,6 +268,21 @@ def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
     return pad_sparse(cosmo_pattern(g))
 
 
+# The gate counts the (I, J) pairs of the family's minors.  Measured
+# `cosmo-disc` CLI peaks (Python 3.11, 2-CPU host): the 5-star, 230,229
+# pairs, 274 MB and 19.7 s of CPU; the 6-path, 1,184,039 pairs, ran out of
+# memory at 2.9 GB.  The 5-cycle (906,191) is refused without having been
+# run.
+MAX_DISC_PAIRS = 250_000
+
+
+def _minor_pairs(fam: ParamFamily) -> int:
+    """Sum over s of C(k + 1, s) * C(ncols, s): the (I, J) pairs that
+    `ParamFamily.all_minors` visits."""
+    rows = fam.k + 1
+    return sum(math.comb(rows, s) * math.comb(fam.ncols, s) for s in range(1, rows + 1))
+
+
 def cosmo_euler_disc(
     g: CosmoGraph, seed: int = 0, find_witnesses: bool = True
 ) -> DiscriminantReport:
@@ -279,8 +292,16 @@ def cosmo_euler_disc(
     by the integrand numerator.  find_witnesses is passed to `euler_disc`,
     with each automorphism of g as a renaming of the energies: it permutes
     the facet columns and the shifted-vertex rows of the family.
+
+    Raises SizeLimitError before any minor is built when the family has
+    more than MAX_DISC_PAIRS (I, J) pairs.
     """
     fam = coefficient_family(g)
+    pairs = _minor_pairs(fam)
+    if pairs > MAX_DISC_PAIRS:
+        raise SizeLimitError(
+            f"coefficient family has {pairs} minor pairs (limit {MAX_DISC_PAIRS})"
+        )
     y_names = [f"Y{eid}" for _, _, eid in g.edges]
     symmetries = [
         {**{f"X{v}": f"X{t}" for v, t in vmap.items()},

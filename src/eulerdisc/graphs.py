@@ -7,9 +7,8 @@ an edge (i, j) means entry z_ij is a free variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, SizeLimitError
 
@@ -91,8 +90,7 @@ class PatternGraph:
         return f"PatternGraph({self.left_size}, {self.right_size}, {sorted(self.edges)})"
 
 
-@dataclass(frozen=True)
-class BipartiteSubgraph:
+class BipartiteSubgraph(NamedTuple):
     """Induced subgraph of a PatternGraph; isolated vertices are retained."""
 
     left: Tuple[int, ...]
@@ -378,8 +376,7 @@ def automorphisms(g: CosmoGraph):
     return out
 
 
-@dataclass(frozen=True)
-class SubgraphSelection:
+class SubgraphSelection(NamedTuple):
     """A vertex subset together with an endpoint-closed edge-id subset."""
 
     vertices: Tuple[int, ...]

@@ -38,7 +38,7 @@ from eulerdisc.cosmo import (
     cosmo_pad,
     facet_forms,
 )
-from eulerdisc.symcore import MultiPoly, VarTable, parse
+from eulerdisc.symcore import VarTable, parse
 
 
 def artificial():

@@ -234,8 +234,7 @@ class TestReportPlumbing:
         (tmp_path / "path6.yaml").write_text(PATH6)
         tracemalloc.start()
         try:
-            main(["cosmo-psi", str(tmp_path / "path6.yaml"), "-o", str(tmp_path / "report.txt")],
-                 standalone_mode=False)
+            main(["cosmo-psi", str(tmp_path / "path6.yaml"), "-o", str(tmp_path / "report.txt")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -328,6 +327,123 @@ class TestExitCodes:
         )
         assert r.returncode == 3, r.stderr
         assert r.stderr == "size limit: wavefunction numerator may have 254186856 terms (limit 1200000)\n"
+
+    def test_path6_disc_is_3_under_memory_limit(self, tmp_path):
+        # the 6-path's family has 1,184,039 minor pairs and ran out of
+        # memory at 2.9 GB: under a 1 GB address-space limit it exits 3
+        # before any minor is built
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        (tmp_path / "path6.yaml").write_text(PATH6)
+        r = subprocess.run(
+            [sys.executable, "-m", "eulerdisc.cli", "cosmo-disc", str(tmp_path / "path6.yaml")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=ENV,
+            preexec_fn=limit,
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == "size limit: coefficient family has 1184039 minor pairs (limit 250000)\n"
+
+
+class TestCommandLineContract:
+    COMMANDS = ("pad", "euler-disc", "beta", "polytope", "cosmo-psi", "cosmo-facets", "cosmo-disc")
+
+    def test_version(self):
+        r = run_cli("--version")
+        assert r.returncode == 0
+        assert r.stdout == "eulerdisc, version 0.1.0\n"
+        assert r.stderr == ""
+
+    def test_help_lists_the_commands(self):
+        r = run_cli("--help")
+        assert r.returncode == 0
+        listed = {line.split()[0] for line in r.stdout.splitlines() if line.startswith("    ")}
+        assert set(self.COMMANDS) <= listed
+
+    def test_unknown_option_is_2(self):
+        for args in (("--bogus",), ("pad", str(FIXTURES / "artificial.yaml"), "--bogus"),
+                     ("pad",), ("no-such-command",), ("cosmo-disc", "x.yaml", "--seed", "one")):
+            r = run_cli(*args)
+            assert r.returncode == 2, args
+            assert r.stdout == ""
+            assert r.stderr
+
+    def test_default_seed_is_0(self, capsys):
+        main(["cosmo-disc", str(FIXTURES / "two_site_graph.yaml")])
+        by_default = capsys.readouterr().out
+        main(["cosmo-disc", str(FIXTURES / "two_site_graph.yaml"), "--seed", "0"])
+        assert capsys.readouterr().out == by_default
+        assert structured_block(by_default)["seed"] == 0
+
+    def test_default_max_vertices_is_8(self, tmp_path, capsys):
+        for n in (8, 9):
+            path = "".join(f"  - [{v}, {v + 1}]\n" for v in range(1, n))
+            (tmp_path / f"path{n}.yaml").write_text(f"vertices: {n}\nedges:\n{path}")
+        main(["cosmo-facets", str(tmp_path / "path8.yaml")])
+        assert structured_block(capsys.readouterr().out)["command"] == "cosmo-facets"
+        with pytest.raises(SystemExit) as exc:
+            main(["cosmo-facets", str(tmp_path / "path9.yaml")])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == "size limit: graph exceeds bounds (8 vertices / 12 edges)\n"
+
+    @pytest.mark.parametrize("args, code", [
+        (("pad", "malformed.yaml"), 1),
+        (("pad", "disconnected_pattern.yaml"), 2),
+        (("cosmo-psi", "big_tree.yaml"), 3),
+    ])
+    def test_in_process_exit_codes(self, args, code, capsys):
+        # perfbench/tracer.py calls main this way and reads SystemExit
+        cmd, name = args
+        with pytest.raises(SystemExit) as exc:
+            main(args=[cmd, str(FIXTURES / name)], prog_name="eulerdisc")
+        assert exc.value.code == code
+        assert capsys.readouterr().out == ""
+
+    def test_in_process_success_returns(self, capsys):
+        assert main(args=["pad", str(FIXTURES / "artificial.yaml")], prog_name="eulerdisc") is None
+        assert structured_block(capsys.readouterr().out)["degree"] == 30
+
+
+class TestImportFootprint:
+    # a CLI call imports only the modules its command runs: no click, no
+    # dataclasses (and with it inspect), and no pipeline for --version
+    SCRIPT = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('eulerdisc.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+
+    def modules(self, *args):
+        r = subprocess.run([sys.executable, "-c", self.SCRIPT, *args],
+                           capture_output=True, text=True, timeout=300, env=ENV)
+        assert r.returncode == 0, r.stderr
+        return set(json.loads(r.stdout.splitlines()[-1]))
+
+    @pytest.mark.parametrize("args", [
+        ("--version",),
+        ("pad", str(FIXTURES / "artificial.yaml")),
+        ("cosmo-psi", str(FIXTURES / "three_site_graph.yaml")),
+    ], ids=["version", "pad", "cosmo-psi"])
+    def test_no_click_or_dataclasses(self, args):
+        assert not self.modules(*args) & {"click", "dataclasses", "inspect"}
+
+    def test_version_loads_no_pipeline(self):
+        loaded = {m for m in self.modules("--version") if m.startswith("eulerdisc.")}
+        assert loaded <= {"eulerdisc.cli", "eulerdisc.errors"}
+
+    def test_pad_on_a_pattern_does_not_load_cosmo(self):
+        loaded = self.modules("pad", str(FIXTURES / "artificial.yaml"))
+        assert "eulerdisc.discriminant" in loaded
+        assert "eulerdisc.cosmo" not in loaded
 
 
 class TestWithoutNumpy:

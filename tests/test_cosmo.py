@@ -3,6 +3,7 @@ discriminants of the associated coefficient families."""
 
 import gc
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -23,8 +24,10 @@ from eulerdisc.cosmo import (
     cosmo_pad,
     cosmo_pattern,
     energy_vars,
+    MAX_DISC_PAIRS,
     MAX_PSI_TERMS,
     _level_sum,
+    _minor_pairs,
     _psi_term_bound,
     _psi_width,
     facet_forms,
@@ -551,6 +554,20 @@ class TestCosmoPad:
 
 
 class TestCosmoEulerDisc:
+    def test_gate_counts_minor_pairs(self):
+        # (I, J) pairs of all_minors: the 4-path has 5 rows and 10 facet
+        # columns, the 5-star 6 rows and 20 columns
+        path4 = coefficient_family(CosmoGraph.from_pairs(4, [(v, v + 1) for v in range(1, 4)]))
+        assert _minor_pairs(path4) == 3_002
+        assert _minor_pairs(coefficient_family(star5())) == 230_229 <= MAX_DISC_PAIRS
+        assert _minor_pairs(coefficient_family(path6())) == 1_184_039 > MAX_DISC_PAIRS
+        assert _minor_pairs(path4) == sum(
+            1
+            for s in range(1, path4.k + 2)
+            for _ in itertools.combinations(range(path4.k + 1), s)
+            for _ in itertools.combinations(range(path4.ncols), s)
+        )
+
     def test_two_site(self):
         rep = cosmo_euler_disc(two_site())
         assert rep.chi_star == 4
