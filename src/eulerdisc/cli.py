@@ -183,12 +183,14 @@ def beta_cmd(args):
     type=int, metavar="INTEGER", help="Override the point-count bound for face enumeration.")), _OUTPUT)
 def polytope(args):
     """Dimension, normalized volume, and f-vector of an edge polytope."""
-    from .lattice import edge_config, f_vector, lattice_normalize, normalized_volume
+    from .lattice import edge_config, f_vector, normalized_volume
 
     c = edge_config(_load_pattern(args.input))
-    d, _ = lattice_normalize(c)
-    vol = normalized_volume(c)
+    # f_vector gates on dimension and point count before placing anything,
+    # so a refused input costs no volume
     fv = f_vector(c, max_points=args.max_points)
+    d = len(fv)
+    vol = normalized_volume(c)
     lines = [f"dimension = {d}", f"volume = {vol}", f"f-vector = {tuple(fv)}"]
     _emit(
         lines,

@@ -270,7 +270,7 @@ def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
 
 # The gate counts the (I, J) pairs of the family's minors.  Measured
 # `cosmo-disc` CLI peaks (Python 3.11, 2-CPU host): the 5-star, 230,229
-# pairs, 274 MB and 19.7 s of CPU; the 6-path, 1,184,039 pairs, ran out of
+# pairs, 187 MB and 16-18 s of CPU; the 6-path, 1,184,039 pairs, ran out of
 # memory at 2.9 GB.  The 5-cycle (906,191) is refused without having been
 # run.
 MAX_DISC_PAIRS = 250_000

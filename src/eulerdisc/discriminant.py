@@ -22,6 +22,7 @@ from .symcore import (
     FactoredPolynomial,
     MultiPoly,
     VarTable,
+    _uni_coeffs,
     canonical,
     coprime_basis,
     eval_mod_p,
@@ -165,36 +166,51 @@ class ParamFamily:
         ]
 
     def all_minors(self):
-        """Minors det(z_{I,J}) of the block for all |I| = |J| >= 1, by size,
-        then I, then J, with the identically-zero ones dropped; cached.
-        One `symcore.minors` expands each over the minors one size smaller."""
+        """Distinct minors det(z_{I,J}) of the block over all |I| = |J| >= 1,
+        each once, in the order of its first (size, I, J), with the
+        identically-zero ones dropped; cached.  One `symcore.minors` expands
+        each over the minors one size smaller."""
         if self._minors is None:
             minor = minors(self.entries)
-            out = []
+            out = {}
             nr, nc = self.k + 1, self.ncols
             for size in range(1, min(nr, nc) + 1):
                 for I in combinations(range(nr), size):
                     for J in combinations(range(nc), size):
                         m = minor(I, J)
                         if not m.is_zero:
-                            out.append(m)
-            self._minors = out
+                            out[m] = None
+            self._minors = list(out)
         return self._minors
 
 
 class DiscriminantReport:
     """Result of a discriminant computation with multiplicities."""
 
-    __slots__ = ("reduced", "with_multiplicity", "chi_star", "per_factor")
+    __slots__ = ("chi_star", "per_factor")
 
-    def __init__(self, reduced, with_multiplicity, chi_star, per_factor):
-        self.reduced = reduced
-        self.with_multiplicity = with_multiplicity
+    def __init__(self, chi_star, per_factor):
         self.chi_star = chi_star
         # (factor, exponent or "unknown", witness dict or None, flags tuple)
+        # for each coprime factor, in basis order
         self.per_factor = tuple(per_factor)
-        if reduced.factor_set() != with_multiplicity.factor_set():
-            raise ValueError("reduced and exponent forms disagree on factors")
+
+    @property
+    def reduced(self) -> FactoredPolynomial:
+        """The product of the factors."""
+        return FactoredPolynomial((f, 1) for f, _, _, _ in self.per_factor)
+
+    @property
+    def with_multiplicity(self) -> FactoredPolynomial:
+        """The product of the factors to their exponents, an unknown one as 1."""
+        return FactoredPolynomial(self._counted())
+
+    def _counted(self):
+        """(factor, exponent) pairs, an unknown exponent counted as 1."""
+        return [(f, e if isinstance(e, int) else 1) for f, e, _, _ in self.per_factor]
+
+    def _degree(self) -> int:
+        return sum(f.total_degree() * e for f, e in self._counted())
 
     @property
     def has_unknown(self) -> bool:
@@ -204,7 +220,7 @@ class DiscriminantReport:
         return {
             "chi_star": self.chi_star,
             "has_unknown": self.has_unknown,
-            "degree": self.with_multiplicity.total_degree(),
+            "degree": self._degree(),
             "factors": [
                 {
                     "poly": str(f),
@@ -223,7 +239,7 @@ class DiscriminantReport:
         for f, e, w, flags in self.per_factor:
             note = f"  [{', '.join(flags)}]" if flags else ""
             lines.append(f"  ({f})^{e}{note}")
-        degree = self.with_multiplicity.total_degree()
+        degree = self._degree()
         unknown = sum(e == "unknown" for _, e, _, _ in self.per_factor)
         if unknown:
             # each unknown exponent is at least 1, and counted as 1
@@ -326,6 +342,8 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
     search_vars = linear_vars or [names[i] for i in present]
     if screens is None:
         screens = [residue_terms(a) for a in avoid]
+    # delta as a univariate in each search variable: degree -> coefficient
+    slices = {v: _uni_coeffs(delta, delta.vars.index(v)) for v in search_vars}
 
     for attempt in range(budget):
         v = search_vars[attempt % len(search_vars)]
@@ -335,17 +353,12 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
             for name in names
             if name != v
         }
-        # collect delta as a univariate in v
-        vi = delta.vars.index(v)
-        coeffs = {}
-        for e, c in delta.terms.items():
-            rest = 1
-            for idx, p in enumerate(e):
-                if idx != vi and p:
-                    rest *= values[names[idx]] ** p
-            coeffs[e[vi]] = coeffs.get(e[vi], Fraction(0)) + c * rest
-        top = max(coeffs)
-        poly = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+        values[v] = 0  # eval reads every name; no coefficient involves v
+        coeffs = slices[v]
+        poly = [
+            Fraction(coeffs[i].eval(values)) if i in coeffs else Fraction(0)
+            for i in range(max(coeffs) + 1)
+        ]
         if all(c == 0 for c in poly):
             candidates = [Fraction(rng.randint(-box, box))]
         elif len(poly) >= 2 and poly[1] != 0 and all(c == 0 for c in poly[2:]):
@@ -389,7 +402,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     beta then run once per orbit, on its first factor.  A renaming that
     does not map the factor set onto itself is not used.
     """
-    minors = list(dict.fromkeys(f.all_minors()))  # each distinct minor once
+    minors = f.all_minors()
     if not minors:
         raise HypothesisError("every minor of the family vanishes identically")
     chi_star = generic_euler_char(f, trials=trials, seed=seed)
@@ -402,7 +415,6 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     seeds = (seed, seed + 1000) if find_witnesses else ()
     found = {}  # factor index -> (exponent, witness) from an orbit's first factor
     per_factor = []
-    pairs = []
     for idx, delta in enumerate(factors):
         if idx in found:
             exponent, witness = found[idx]
@@ -422,10 +434,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
             if f.params.names[var_idx] in numerator_vars:
                 flags.append("numerator-normalized")
         per_factor.append((delta, exponent, witness, tuple(flags)))
-        pairs.append((delta, exponent if isinstance(exponent, int) else 1))
-    reduced = FactoredPolynomial([(p, 1) for p in factors])
-    with_mult = FactoredPolynomial(pairs)
-    return DiscriminantReport(reduced, with_mult, chi_star, per_factor)
+    return DiscriminantReport(chi_star, per_factor)
 
 
 def _chi_drop(f, chi_star, factors, screens, idx, seeds, memo):

@@ -68,14 +68,6 @@ class PatternGraph:
     def var_name(self, i: int, j: int) -> str:
         return f"z{i}{j}" if max(self.left_size + self.right_size - 1, 9) <= 9 else f"z{i}_{j}"
 
-    @classmethod
-    def from_dict(cls, data) -> "PatternGraph":
-        try:
-            return cls(int(data["left"]), int(data["right"]),
-                       [(int(i), int(j)) for i, j in data["edges"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad pattern graph description: {exc}") from None
-
     def __eq__(self, other):
         return (
             isinstance(other, PatternGraph)
@@ -320,13 +312,6 @@ class CosmoGraph:
             else:
                 edges.append((p[0], p[1], next(letters)))
         return cls(vertex_count, edges)
-
-    @classmethod
-    def from_dict(cls, data) -> "CosmoGraph":
-        try:
-            return cls.from_pairs(int(data["vertices"]), data["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad graph description: {exc}") from None
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.vertex_count - 1

@@ -55,21 +55,6 @@ class PointConfiguration:
     def ambient_dim(self) -> int:
         return len(self.points[0]) if self.points else 0
 
-    def dump(self) -> str:
-        """Matrix view with points as columns, optionally headed by labels."""
-        if not self.points:
-            return "(empty configuration)"
-        cols = [[str(x) for x in p] for p in self.points]
-        if self.labels:
-            for c, lab in zip(cols, self.labels):
-                c.insert(0, lab)
-        widths = [max(len(s) for s in c) for c in cols]
-        nrows = len(cols[0])
-        lines = []
-        for r in range(nrows):
-            lines.append("  ".join(c[r].rjust(w) for c, w in zip(cols, widths)))
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"PointConfiguration({len(self.points)} points in dim {self.ambient_dim})"
 

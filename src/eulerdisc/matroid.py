@@ -203,7 +203,7 @@ def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int
     if trials < 2:
         raise InputError("need at least 2 trials")
     rng = random.Random(seed)
-    minors = list(dict.fromkeys(family.all_minors()))  # each distinct minor once
+    minors = family.all_minors()
     memo = {}
     values = []
     for _ in range(trials):

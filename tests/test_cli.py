@@ -350,6 +350,31 @@ class TestExitCodes:
         assert r.stdout == ""
         assert r.stderr == "size limit: coefficient family has 1184039 minor pairs (limit 250000)\n"
 
+    def test_cycle4_polytope_is_3_under_cpu_limit(self, tmp_path):
+        # the 4-cycle's edge polytope has d = 20, past the face gate of 8:
+        # it exits 3 before any volume or hull is computed, well inside 1 s
+        # of CPU (computing the volume first took about 3 s)
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+
+        cycle4 = tmp_path / "cycle4.yaml"
+        cycle4.write_text("vertices: 4\nedges:\n  - [1, 2]\n  - [2, 3]\n  - [3, 4]\n  - [1, 4]\n")
+        r = subprocess.run(
+            [sys.executable, "-m", "eulerdisc.cli", "polytope", str(cycle4)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=ENV,
+            preexec_fn=limit,
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == (
+            "size limit: face enumeration limited to dimension 8 and 20 points (got d=20, 61)\n"
+        )
+
 
 class TestCommandLineContract:
     COMMANDS = ("pad", "euler-disc", "beta", "polytope", "cosmo-psi", "cosmo-facets", "cosmo-disc")

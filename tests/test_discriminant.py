@@ -377,16 +377,12 @@ class TestEulerDisc:
         vt = VarTable(["a", "b"])
         a, b, ab = parse("a", vt), parse("b", vt), parse("a + b + 1", vt)
         exps = [(a, 2), (b, "unknown"), (ab, "unknown")]
-        rep = DiscriminantReport(
-            FactoredPolynomial([(p, 1) for p, _ in exps]),
-            FactoredPolynomial([(p, e if isinstance(e, int) else 1) for p, e in exps]),
-            2,
-            [(p, e, None, ()) for p, e in exps],
-        )
+        rep = DiscriminantReport(2, [(p, e, None, ()) for p, e in exps])
         assert str(rep).splitlines()[-1] == "degree >= 4  [2 unknown exponents counted as 1]"
-        rep = DiscriminantReport(
-            FactoredPolynomial([(a, 1)]), FactoredPolynomial([(a, 3)]), 2, [(a, 3, None, ())]
-        )
+        # the factored forms are read from the same factor list
+        assert rep.reduced == FactoredPolynomial([(a, 1), (b, 1), (ab, 1)])
+        assert rep.with_multiplicity == FactoredPolynomial([(a, 2), (b, 1), (ab, 1)])
+        rep = DiscriminantReport(2, [(a, 3, None, ())])
         assert str(rep).splitlines()[-1] == "degree = 3"
 
 
@@ -609,26 +605,41 @@ class TestModPScreenOracle:
         assert report.per_factor[0][2] == witness_point(factors[0], factors[1:], 0)
 
 
+def path4_family():
+    return coefficient_family(CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4)]))
+
+
 class TestDistinctMinors:
-    """`euler_disc` and `generic_euler_char` use each distinct minor once,
-    in first-occurrence order, so repeating every minor changes nothing."""
+    """`all_minors` lists each distinct minor once, in first-occurrence
+    order, and `euler_disc` and `generic_euler_char` use that list as it is."""
 
-    @pytest.mark.parametrize("family", [z1_family, triangle_family])
-    def test_repeated_minors_change_nothing(self, family, monkeypatch):
+    @pytest.mark.parametrize("family", [z1_family, triangle_family, path4_family])
+    def test_all_minors_are_distinct(self, family):
         minors = family().all_minors()
-        assert len(set(minors)) < len(minors)  # all_minors keeps duplicates
-        chi = generic_euler_char(family(), seed=0)
-        report = euler_disc(family(), seed=0).to_dict()
+        assert len(set(minors)) == len(minors)
 
+    def test_coprime_basis_receives_all_minors(self, monkeypatch):
         inputs = []
         basis = discriminant.coprime_basis
         monkeypatch.setattr(discriminant, "coprime_basis",
                             lambda ps: inputs.append(list(ps)) or basis(ps))
-        plain_all_minors = ParamFamily.all_minors
-        monkeypatch.setattr(ParamFamily, "all_minors",
-                            lambda self: [m for m in plain_all_minors(self) for _ in (0, 1)])
-        repeated = family()
-        assert repeated.all_minors() == [m for m in minors for _ in (0, 1)]
-        assert generic_euler_char(repeated, seed=0) == chi
-        assert euler_disc(repeated, seed=0).to_dict() == report
-        assert inputs == [list(dict.fromkeys(minors))]
+        fam = z1_family()
+        euler_disc(fam, seed=0)
+        assert inputs == [fam.all_minors()]
+
+    @pytest.mark.parametrize("family", [z1_family, triangle_family])
+    def test_repeated_minors_change_nothing(self, family):
+        class Repeated(ParamFamily):
+            """The same block, with every minor listed twice."""
+
+            def all_minors(self):
+                return [m for m in super().all_minors() for _ in (0, 1)]
+
+        fam = family()
+        repeated = Repeated(fam.k, fam.params, fam.entries)
+        assert repeated.all_minors() == [m for m in fam.all_minors() for _ in (0, 1)]
+        assert generic_euler_char(repeated, seed=0) == generic_euler_char(fam, seed=0)
+        report = euler_disc(fam, seed=0)
+        again = euler_disc(repeated, seed=0)
+        assert again.to_dict() == report.to_dict()
+        assert str(again) == str(report)

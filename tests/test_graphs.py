@@ -57,12 +57,6 @@ class TestPatternGraph:
         with pytest.raises(InputError):
             PatternGraph(1, 1, [])
 
-    def test_from_dict(self):
-        g = PatternGraph.from_dict({"left": 2, "right": 2, "edges": [[0, 2], [1, 3], [1, 2]]})
-        assert g.left == (0, 1) and g.right == (2, 3)
-        with pytest.raises(InputError):
-            PatternGraph.from_dict({"left": 2, "edges": []})
-
     def test_edge_order_deterministic(self):
         g = two_site()
         assert g.edge_order() == tuple(sorted(g.edges))

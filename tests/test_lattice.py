@@ -115,13 +115,6 @@ class TestConfigBasics:
         c = edge_config(PatternGraph(1, 1, [(0, 1)]))
         assert c.points == ((1, 1),)
 
-    def test_dump_has_labels_and_columns(self):
-        c = edge_config(PatternGraph(1, 2, [(0, 1), (0, 2)]))
-        text = c.dump()
-        lines = text.splitlines()
-        assert lines[0].split() == ["01", "02"]
-        assert len(lines) == 4  # header + 3 coordinate rows
-
 
 class TestNormalize:
     def test_standard_triangle(self):
