@@ -5,9 +5,9 @@ pipeline, and emits a report: human-readable lines followed by a
 deterministic JSON block introduced by a `--- structured ---` marker.
 Identical inputs and seeds produce byte-identical reports.
 
-Exit codes: 1 for input and parse errors, 2 for hypothesis violations
-(e.g. a disconnected graph) and for usage errors, 3 for size-limit
-refusals.
+Exit codes: 1 for input and parse errors and for a reader that closes
+the report's pipe early, 2 for hypothesis violations (e.g. a disconnected
+graph) and for usage errors, 3 for size-limit refusals.
 
 Each command imports its pipeline in its own body, so a call loads only
 the modules it runs, and `--version` and `--help` load none.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -210,12 +211,12 @@ def cosmo_psi(args):
     # polynomial is dropped once they exist
     num = psi.num.text_chunks()
     den = str(psi.den)
-    if psi.den_const != 1:
-        den = f"{psi.den_const} * {den}"
     structured = {
         "command": "cosmo-psi",
         "numerator": _Chunked(num),
-        "denominator_constant": psi.den_const,
+        # the wavefunction's denominator carries no constant factor; the
+        # key stays in the report format
+        "denominator_constant": 1,
         "denominator_factors": [
             {"poly": p, "exponent": e} for p, e in psi.den.as_pairs()
         ],
@@ -300,6 +301,11 @@ def main(args=None, prog_name=None):
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         sys.exit(3)
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull, so
+        # the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .symcore import (
     coprime_basis,
     eval_mod_p,
     minors,
-    parse,
     residue_terms,
     residues,
 )
@@ -152,12 +151,6 @@ class ParamFamily:
     @property
     def param_names(self):
         return self.params.names
-
-    @classmethod
-    def from_strings(cls, k: int, param_names, rows) -> "ParamFamily":
-        vt = VarTable(param_names)
-        entries = [[parse(str(s), vt) for s in row] for row in rows]
-        return cls(k, vt, entries)
 
     def z_at(self, point):
         """Numeric coefficient block at a parameter point (name -> value)."""

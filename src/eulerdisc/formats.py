@@ -10,14 +10,16 @@ matrix has `rows`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
 import yaml
 
-from .discriminant import ParamFamily
 from .errors import InputError
 from .graphs import CosmoGraph, PatternGraph
 from .symcore import VarTable, parse
+
+if TYPE_CHECKING:
+    from .discriminant import ParamFamily
 
 __all__ = [
     "load_document",
@@ -89,6 +91,9 @@ def ingest_cosmo(doc: dict) -> CosmoGraph:
 
 
 def ingest_family(doc: dict) -> ParamFamily:
+    # imported here: the other documents need none of the pipelines
+    from .discriminant import ParamFamily
+
     k = _int(doc["k"], "k")
     params = doc["params"]
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
@@ -125,8 +130,7 @@ def ingest_family(doc: dict) -> ParamFamily:
                 raise InputError(f"substitute entry {name!r}: {exc}")
         rows = [[p.subs(repl) for p in row] for row in rows]
         vt = vt2
-    fam = ParamFamily(k, vt, rows)
-    return fam
+    return ParamFamily(k, vt, rows)
 
 
 def ingest_matrix(doc: dict) -> List[List[Fraction]]:

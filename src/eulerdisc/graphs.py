@@ -8,7 +8,7 @@ an edge (i, j) means entry z_ij is a free variable.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, NamedTuple, Sequence, Tuple
 
 from .errors import HypothesisError, InputError, SizeLimitError
 
@@ -21,11 +21,8 @@ __all__ = [
     "is_connected",
     "reachable",
     "neighborhood",
-    "saturating_matching",
-    "hall_obstruction",
     "condition_star",
     "star_violation",
-    "contract",
     "connected_subgraphs",
     "automorphisms",
 ]
@@ -151,79 +148,6 @@ def neighborhood(g, T) -> frozenset:
     return frozenset(out)
 
 
-def _adjacency(edges, from_left: bool):
-    adj = {}
-    for i, j in edges:
-        a, b = (i, j) if from_left else (j, i)
-        adj.setdefault(a, []).append(b)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
-
-
-def _max_matching(g, side):
-    """Maximum matching by augmenting paths from each vertex of the chosen
-    side in turn.
-
-    Returns (adjacency from that side, its vertex -> matched vertex, its
-    vertices left unmatched).
-    """
-    left, right, edges = _sides(g)
-    if side not in ("left", "right"):
-        raise InputError("side must be 'left' or 'right'")
-    source = left if side == "left" else right
-    adj = _adjacency(edges, from_left=(side == "left"))
-    match_src = {}
-    match_dst = {}
-
-    def augment(u, visited):
-        for v in adj.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_dst or augment(match_dst[v], visited):
-                match_src[u] = v
-                match_dst[v] = u
-                return True
-        return False
-
-    free = [u for u in source if not augment(u, set())]
-    return adj, match_src, free
-
-
-def saturating_matching(g, side: str = "left"):
-    """Matching covering the chosen side via augmenting paths, or None."""
-    _, match_src, free = _max_matching(g, side)
-    if free:
-        return None
-    if side == "left":
-        return dict(sorted(match_src.items()))
-    return {v: u for u, v in sorted(match_src.items())}
-
-
-def hall_obstruction(g, side: str = "left"):
-    """A subset W of the chosen side with |N(W)| < |W|, or None if saturable."""
-    adj, match_src, free = _max_matching(g, side)
-    if not free:
-        return None
-    # Grow the alternating tree from an unmatched source vertex of the
-    # maximum matching; the reached source vertices violate Hall.
-    match_dst = {v: u for u, v in match_src.items()}
-    reached_src = {free[-1]}
-    reached_dst = set()
-    changed = True
-    while changed:
-        changed = False
-        for u in list(reached_src):
-            for v in adj.get(u, ()):
-                if v not in reached_dst:
-                    reached_dst.add(v)
-                    changed = True
-                    if v in match_dst and match_dst[v] not in reached_src:
-                        reached_src.add(match_dst[v])
-    return frozenset(reached_src)
-
-
 def condition_star(g) -> bool:
     """Expansion condition on a balanced bipartite (sub)graph.
 
@@ -248,26 +172,6 @@ def star_violation(g):
             if len(neighborhood(g, W)) <= len(W):
                 return frozenset(W)
     return None
-
-
-def contract(g, h: BipartiteSubgraph):
-    """Edges surviving the contraction of a connected subgraph.
-
-    Returns (surviving_vertices, [(edge, surviving_endpoints), ...]) where
-    surviving_endpoints lists the endpoints of the edge outside V(h); the
-    contracted vertex itself is dropped from the coordinate set.
-    """
-    left, right, edges = _sides(g)
-    if not is_connected(h):
-        raise HypothesisError("can only contract a connected subgraph")
-    inside = set(h.vertices)
-    if not set(h.edges) <= set(edges):
-        raise InputError("subgraph edges must come from the graph")
-    survivors = tuple(v for v in list(left) + list(right) if v not in inside)
-    out = []
-    for e in sorted(set(edges) - set(h.edges)):
-        out.append((e, tuple(v for v in e if v not in inside)))
-    return survivors, out
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,17 @@ simplices grouped by supporting hyperplane).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from .errors import HypothesisError, InputError, SizeLimitError
 from .graphs import (
-    BipartiteSubgraph, PatternGraph, condition_star, contract, induced, is_connected, star_violation
+    BipartiteSubgraph, PatternGraph, condition_star, induced, is_connected, star_violation
 )
 from .kernels import det_adj
 
 __all__ = [
     "PointConfiguration",
     "edge_config",
-    "contracted_config",
     "lattice_normalize",
     "normalized_volume",
     "f_vector",
@@ -33,20 +32,15 @@ __all__ = [
 class PointConfiguration:
     """Ordered list of integer points of a common ambient dimension."""
 
-    __slots__ = ("points", "labels")
+    __slots__ = ("points",)
 
-    def __init__(self, points, labels: Optional[Sequence[str]] = None):
+    def __init__(self, points):
         points = tuple(tuple(int(x) for x in p) for p in points)
         if points:
             d = len(points[0])
             if any(len(p) != d for p in points):
                 raise InputError("points have mixed dimensions")
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != len(points) or len(set(labels)) != len(labels):
-                raise InputError("labels must be unique and aligned with points")
         self.points = points
-        self.labels = labels
 
     def __len__(self):
         return len(self.points)
@@ -62,32 +56,9 @@ class PointConfiguration:
 def edge_config(g: PatternGraph) -> PointConfiguration:
     """One 0/1 column e_i + e_j per edge, in the graph's edge order."""
     n = g.left_size + g.right_size
-    pts = []
-    labels = []
-    for i, j in g.edge_order():
-        v = [0] * n
-        v[i] = 1
-        v[j] = 1
-        pts.append(v)
-        labels.append(f"{i}{j}")
-    return PointConfiguration(pts, labels)
-
-
-def contracted_config(g: PatternGraph, h: BipartiteSubgraph) -> PointConfiguration:
-    """Edge configuration after contracting h: rows of V(h) and columns of
-    E(h) are removed; a surviving edge keeps unit entries at its surviving
-    endpoints only."""
-    survivors, out = contract(g, h)
-    index = {v: i for i, v in enumerate(survivors)}
-    pts = []
-    labels = []
-    for (i, j), kept in out:
-        v = [0] * len(survivors)
-        for w in kept:
-            v[index[w]] = 1
-        pts.append(v)
-        labels.append(f"{i}{j}")
-    return PointConfiguration(pts, labels)
+    return PointConfiguration(
+        tuple(int(v in e) for v in range(n)) for e in g.edge_order()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +343,12 @@ def subdiagram_volume(g: PatternGraph, h: BipartiteSubgraph) -> int:
         raise HypothesisError(
             f"precondition violated: subgraph fails the expansion condition ({detail})"
         )
-    conf = contracted_config(g, h)
-    with_origin = PointConfiguration(((0,) * conf.ambient_dim,) + conf.points)
-    d, pts0 = lattice_normalize(with_origin)
+    # A': each edge of g outside h keeps its unit entries at the vertices
+    # outside h; the rows of V(h) and the columns of E(h) are gone
+    inside = set(h.vertices)
+    survivors = [v for v in g.left + g.right if v not in inside]
+    a_prime = [tuple(int(v in e) for v in survivors) for e in g.edge_order() if e not in h.edges]
+    d, pts0 = lattice_normalize(PointConfiguration([(0,) * len(survivors)] + a_prime))
     rest = pts0[1:]
     if not rest or _rank_of(rest) < d:
         return _placing(pts0, d)[0]

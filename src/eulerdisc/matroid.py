@@ -156,19 +156,6 @@ def beta(m: LinearMatroid) -> int:
     return _beta(_rref_int(m.rows), {})
 
 
-def beta_whitney(m: LinearMatroid) -> int:
-    """Brute-force beta via the signed Whitney rank sum (test oracle)."""
-    from itertools import combinations
-
-    n = m.ncols
-    r = m.rank()
-    total = 0
-    for size in range(n + 1):
-        for sub in combinations(range(n), size):
-            total += (-1) ** size * m.rank(sub)
-    return (-1) ** r * total
-
-
 # ---------------------------------------------------------------------------
 # Euler characteristics
 

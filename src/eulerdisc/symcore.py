@@ -31,7 +31,6 @@ __all__ = [
     "try_div",
     "canonical",
     "coprime_basis",
-    "det",
     "minors",
 ]
 
@@ -919,21 +918,6 @@ def minors(matrix):
     return minor
 
 
-def det(matrix) -> MultiPoly:
-    """Exact determinant of a square matrix of MultiPoly: the full minor of
-    `minors`."""
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("determinant requires a non-empty square matrix")
-    vars = matrix[0][0].vars
-    for row in matrix:
-        for p in row:
-            if p.vars != vars:
-                raise ValueError("matrix entries use different variable tables")
-    full = tuple(range(n))
-    return minors(matrix)(full, full)
-
-
 # ---------------------------------------------------------------------------
 # Factored polynomials and rational functions
 
@@ -1001,28 +985,21 @@ class RationalFunction:
     (as `cosmo.wavefunction` does).
     """
 
-    __slots__ = ("num", "den", "den_const")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: MultiPoly, den: FactoredPolynomial, den_const: int = 1):
-        if den_const == 0:
-            raise ZeroDivisionError("zero denominator constant")
+    def __init__(self, num: MultiPoly, den: FactoredPolynomial):
         self.num = num
         self.den = den
-        self.den_const = den_const
 
     def __eq__(self, other):
         return (
             isinstance(other, RationalFunction)
             and self.num == other.num
             and self.den == other.den
-            and self.den_const == other.den_const
         )
 
     def __str__(self):
-        den = str(self.den)
-        if self.den_const != 1:
-            den = f"{self.den_const} * {den}"
-        return f"({self.num}) / ({den})"
+        return f"({self.num}) / ({self.den})"
 
     def __repr__(self):
         return f"RationalFunction({self})"

@@ -2,6 +2,7 @@
 library does not need itself."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from eulerdisc.symcore import MultiPoly, try_div
 
@@ -100,3 +101,106 @@ def psi_value(g, point):
 
     xs = {v: point[f"X{v}"] for v in range(1, g.vertex_count + 1)}
     return rec(frozenset(xs), xs)
+
+
+def exact_rank(rows):
+    """Rank of a matrix by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def beta_whitney(m):
+    """Crapo beta of the column matroid of m (a LinearMatroid) by the signed
+    Whitney rank sum over all column subsets, each rank by `exact_rank`."""
+
+    def rank(cols):
+        return exact_rank([[row[c] for c in cols] for row in m.rows])
+
+    n = m.ncols
+    total = 0
+    for size in range(n + 1):
+        for sub in combinations(range(n), size):
+            total += (-1) ** size * rank(sub)
+    return (-1) ** rank(range(n)) * total
+
+
+def _adjacency(edges, from_left):
+    adj = {}
+    for i, j in edges:
+        a, b = (i, j) if from_left else (j, i)
+        adj.setdefault(a, []).append(b)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
+def _max_matching(g, side):
+    """Maximum matching of a bipartite graph (anything with left, right and
+    edges) by augmenting paths from each vertex of the chosen side in turn.
+
+    Returns (adjacency from that side, its vertex -> matched vertex, its
+    vertices left unmatched).
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    source = g.left if side == "left" else g.right
+    adj = _adjacency(g.edges, from_left=(side == "left"))
+    match_src = {}
+    match_dst = {}
+
+    def augment(u, visited):
+        for v in adj.get(u, ()):
+            if v in visited:
+                continue
+            visited.add(v)
+            if v not in match_dst or augment(match_dst[v], visited):
+                match_src[u] = v
+                match_dst[v] = u
+                return True
+        return False
+
+    free = [u for u in source if not augment(u, set())]
+    return adj, match_src, free
+
+
+def saturating_matching(g, side="left"):
+    """Matching covering the chosen side via augmenting paths, or None."""
+    _, match_src, free = _max_matching(g, side)
+    if free:
+        return None
+    if side == "left":
+        return dict(sorted(match_src.items()))
+    return {v: u for u, v in sorted(match_src.items())}
+
+
+def hall_obstruction(g, side="left"):
+    """A subset W of the chosen side with |N(W)| < |W|, or None if saturable."""
+    adj, match_src, free = _max_matching(g, side)
+    if not free:
+        return None
+    # Grow the alternating tree from an unmatched source vertex of the
+    # maximum matching; the reached source vertices violate Hall.
+    match_dst = {v: u for u, v in match_src.items()}
+    reached_src = {free[-1]}
+    reached_dst = set()
+    changed = True
+    while changed:
+        changed = False
+        for u in list(reached_src):
+            for v in adj.get(u, ()):
+                if v not in reached_dst:
+                    reached_dst.add(v)
+                    changed = True
+                    if v in match_dst and match_dst[v] not in reached_src:
+                        reached_src.add(match_dst[v])
+    return frozenset(reached_src)

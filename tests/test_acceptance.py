@@ -8,13 +8,8 @@ import random
 import time
 from fractions import Fraction
 
-from eulerdisc.graphs import (
-    BipartiteSubgraph,
-    CosmoGraph,
-    PatternGraph,
-    hall_obstruction,
-    saturating_matching,
-)
+from eulerdisc.formats import ingest_family
+from eulerdisc.graphs import BipartiteSubgraph, CosmoGraph, PatternGraph
 from eulerdisc.kernels import det_adj
 from eulerdisc.lattice import (
     edge_config,
@@ -23,7 +18,7 @@ from eulerdisc.lattice import (
     normalized_volume,
     subdiagram_volume,
 )
-from eulerdisc.matroid import LinearMatroid, beta, beta_whitney, signed_euler_char
+from eulerdisc.matroid import LinearMatroid, beta, signed_euler_char
 from eulerdisc.discriminant import (
     ParamFamily,
     degree_check,
@@ -39,6 +34,7 @@ from eulerdisc.cosmo import (
     facet_forms,
 )
 from eulerdisc.symcore import VarTable, parse
+from oracles import beta_whitney, hall_obstruction, saturating_matching
 
 
 def artificial():
@@ -50,11 +46,11 @@ def two_site_pattern():
 
 
 def two_site_family():
-    return ParamFamily.from_strings(
-        2,
-        ["X1", "X2", "Y12"],
-        [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
-    )
+    return ingest_family({
+        "k": 2,
+        "params": ["X1", "X2", "Y12"],
+        "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
+    })
 
 
 def z1_family():
@@ -63,7 +59,7 @@ def z1_family():
         ["1", "0", "1", "w2+w3"],
         ["0", "w1-w3", "w1+w2+w3", "1"],
     ]
-    return ParamFamily.from_strings(2, ["w1", "w2", "w3"], rows)
+    return ingest_family({"k": 2, "params": ["w1", "w2", "w3"], "entries": rows})
 
 
 def z2_family():

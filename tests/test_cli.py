@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface: report content,
 determinism, and the exit-code contract."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -469,6 +471,48 @@ class TestImportFootprint:
         loaded = self.modules("pad", str(FIXTURES / "artificial.yaml"))
         assert "eulerdisc.discriminant" in loaded
         assert "eulerdisc.cosmo" not in loaded
+
+    def test_beta_does_not_load_discriminant(self):
+        loaded = self.modules("beta", str(FIXTURES / "central_matrix.yaml"))
+        assert "eulerdisc.discriminant" not in loaded
+
+
+class TestTracedModules:
+    # the benchmark's traced run imports every module in perfbench/tracer.py's
+    # TRACED list unguarded; the list is read with ast, so numpy, which the
+    # tracer imports, is not needed here
+    def test_every_traced_module_imports(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        tree = ast.parse(path.read_text())
+        (traced,) = (
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+        )
+        modules = sorted({entry[0] for entry in traced})
+        assert "eulerdisc.kernels" in modules
+        for name in modules:
+            importlib.import_module(name)
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_1_quietly(self, tmp_path):
+        # the 5-path's report is about 116 kB, more than a pipe holds, so
+        # the CLI is still writing when the reader goes
+        path5 = tmp_path / "path5.yaml"
+        path5.write_text("vertices: 5\nedges: [[1, 2], [2, 3], [3, 4], [4, 5]]\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eulerdisc.cli", "cosmo-psi", str(path5)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert head.startswith(b"wavefunction coefficient\n")
+        assert err == b""
 
 
 class TestWithoutNumpy:

@@ -84,7 +84,7 @@ def assert_coprime(psi, rng):
 
 
 def psi_at(psi, point):
-    """psi.num / (psi.den_const * the product of the denominator factors).
+    """psi.num / (the product of the denominator factors).
 
     The numerator is summed in integers: with x = a/b and d the highest
     power of x in it, x^k is a^k b^(d - k) over b^d, read from a table.
@@ -101,7 +101,7 @@ def psi_at(psi, point):
         for table, k in zip(tables, e):
             c *= table[k]
         total += c
-    den = Fraction(psi.den_const)
+    den = Fraction(1)
     for x, d in zip(xs, top):
         den *= x.denominator**d
     for p, e in psi.den.factors:
@@ -153,7 +153,6 @@ class TestWavefunction:
             "X1 + Y12": 1,
             "X2 + Y12": 1,
         }
-        assert psi.den_const == 1
 
     def test_three_site(self):
         psi = wavefunction(three_site())
@@ -227,7 +226,7 @@ class TestWavefunction:
             + psi2(X1, X2 + Y23, Y12) * psi1(X3 + Y23)
         )
         num = Fraction(psi.num.eval(pt))
-        den = Fraction(psi.den_const)
+        den = Fraction(1)
         for p, e in psi.den.factors:
             den *= Fraction(p.eval(pt)) ** e
         assert num / den == direct

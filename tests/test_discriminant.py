@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eulerdisc.cosmo import coefficient_family
 from eulerdisc.errors import HypothesisError, InputError
+from eulerdisc.formats import ingest_family
 from eulerdisc.graphs import (
     CosmoGraph,
     PatternGraph,
@@ -43,7 +44,7 @@ from eulerdisc.symcore import (
     residue_terms,
     residues,
 )
-from oracles import expand
+from oracles import expand, saturating_matching
 
 
 def two_site_pattern():
@@ -60,7 +61,7 @@ def z1_family():
         ["1", "0", "1", "w2+w3"],
         ["0", "w1-w3", "w1+w2+w3", "1"],
     ]
-    return ParamFamily.from_strings(2, ["w1", "w2", "w3"], rows)
+    return ingest_family({"k": 2, "params": ["w1", "w2", "w3"], "entries": rows})
 
 
 def triangle_family():
@@ -116,7 +117,6 @@ class TestPadSparse:
         from itertools import combinations
 
         from eulerdisc.discriminant import _symbolic_block
-        from eulerdisc.graphs import saturating_matching
         from eulerdisc.symcore import minors
 
         g = artificial_pattern()
@@ -286,11 +286,11 @@ class TestSymmetries:
 
 class TestEulerDisc:
     def test_two_site_physical(self):
-        fam = ParamFamily.from_strings(
-            2,
-            ["X1", "X2", "Y12"],
-            [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
-        )
+        fam = ingest_family({
+            "k": 2,
+            "params": ["X1", "X2", "Y12"],
+            "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
+        })
         rep = euler_disc(fam, numerator_vars=["Y12"])
         assert rep.chi_star == 4
         vt = fam.params
@@ -388,11 +388,11 @@ class TestEulerDisc:
 
 class TestChiDrop:
     def test_on_and_off_factors_two_site(self):
-        fam = ParamFamily.from_strings(
-            2,
-            ["X1", "X2", "Y12"],
-            [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
-        )
+        fam = ingest_family({
+            "k": 2,
+            "params": ["X1", "X2", "Y12"],
+            "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
+        })
         rep = euler_disc(fam)
         factors = list(rep.reduced.factor_set())
         rng = random.Random(401)

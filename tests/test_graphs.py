@@ -12,14 +12,12 @@ from eulerdisc.graphs import (
     automorphisms,
     condition_star,
     connected_subgraphs,
-    contract,
-    hall_obstruction,
     induced,
     is_connected,
     neighborhood,
-    saturating_matching,
     star_violation,
 )
+from oracles import hall_obstruction, saturating_matching
 
 
 def two_site():
@@ -174,26 +172,6 @@ class TestConditionStar:
         big = PatternGraph(13, 13, [(i, 13 + j) for i in range(13) for j in range(13)])
         with pytest.raises(SizeLimitError):
             condition_star(big)
-
-
-class TestContract:
-    def test_contract_drops_inner_vertices(self):
-        g = artificial()
-        h = induced(g, [1, 2], [5, 6])
-        survivors, out = contract(g, h)
-        assert survivors == (0, 3, 4)
-        table = dict(out)
-        assert table[(0, 3)] == (0, 3)
-        assert table[(0, 4)] == (0, 4)
-        assert table[(1, 3)] == (3,)
-        assert table[(2, 4)] == (4,)
-        assert (1, 5) not in table and (2, 6) not in table
-
-    def test_contract_requires_connected(self):
-        g = artificial()
-        bad = induced(g, [0], [6])  # no edge 06: two isolated vertices
-        with pytest.raises(HypothesisError):
-            contract(g, bad)
 
 
 class TestCosmoGraph:

@@ -7,7 +7,6 @@ polytopes.  Face oracles: facet ranks and the Euler relation.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,7 +17,6 @@ from eulerdisc.errors import HypothesisError, InputError, SizeLimitError
 from eulerdisc.graphs import PatternGraph, induced, is_connected
 from eulerdisc.lattice import (
     PointConfiguration,
-    contracted_config,
     edge_config,
     f_vector,
     facets,
@@ -26,6 +24,7 @@ from eulerdisc.lattice import (
     normalized_volume,
     subdiagram_volume,
 )
+from oracles import exact_rank
 
 
 def two_site():
@@ -34,22 +33,6 @@ def two_site():
 
 def artificial():
     return PatternGraph(3, 4, [(0, 3), (0, 4), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6)])
-
-
-def exact_rank(rows):
-    """Rank of an integer matrix by Gaussian elimination over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] / rows[rank][col]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def hull_area_doubled(points):
@@ -100,16 +83,15 @@ class TestConfigBasics:
     def test_validation(self):
         with pytest.raises(InputError):
             PointConfiguration([(0, 1), (1,)])
-        with pytest.raises(InputError):
-            PointConfiguration([(0, 1)], labels=["a", "b"])
 
     def test_edge_config_artificial_matches_incidence(self):
-        c = edge_config(artificial())
-        assert c.labels == ("03", "04", "13", "15", "16", "24", "25", "26")
+        g = artificial()
+        c = edge_config(g)
+        assert g.edge_order() == ((0, 3), (0, 4), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6))
         assert len(c) == 8 and c.ambient_dim == 7
-        for p, lab in zip(c.points, c.labels):
+        for p, (i, j) in zip(c.points, g.edge_order()):
             assert sum(p) == 2
-            assert p[int(lab[0])] == 1 and p[int(lab[1])] == 1
+            assert p[i] == 1 and p[j] == 1
 
     def test_edge_config_single_edge(self):
         c = edge_config(PatternGraph(1, 1, [(0, 1)]))
@@ -232,9 +214,9 @@ class TestFaces:
     def test_faces_are_disjoint_unions_of_induced_subgraphs(self):
         g = two_site()
         c = edge_config(g)
-        labels = c.labels
+        order = g.edge_order()
         for members in facets(c):
-            edges = [(int(labels[i][0]), int(labels[i][1])) for i in members]
+            edges = [order[i] for i in members]
             # split into connected components
             comps = []
             for e in edges:
@@ -265,8 +247,8 @@ class TestFaces:
             values = [sum(p[v] for v in chosen) for p in c.points]
             inside = {
                 k
-                for k, lab in enumerate(c.labels)
-                if int(lab[0]) in chosen and int(lab[1]) in chosen
+                for k, (i, j) in enumerate(g.edge_order())
+                if i in chosen and j in chosen
             }
             if not inside:
                 continue
@@ -299,11 +281,15 @@ class TestSubdiagramVolume:
             subdiagram_volume(g, induced(g, [0, 1], [5, 6]))
 
     def test_contracted_config_shapes(self):
+        # contracting {1, 2} x {5, 6} leaves the edges 03, 04, 13, 24 on the
+        # surviving vertices 0, 3, 4; A' lies on the plane y + z = 1, so it
+        # adds no volume and the exponent is the pyramid from the origin
         g = artificial()
-        c = contracted_config(g, induced(g, [1, 2], [5, 6]))
-        assert c.ambient_dim == 3  # survivors 0, 3, 4
-        assert c.labels == ("03", "04", "13", "24")
-        assert c.points == ((1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1))
+        h = induced(g, [1, 2], [5, 6])
+        assert [e for e in g.edge_order() if e not in h.edges] == [(0, 3), (0, 4), (1, 3), (2, 4)]
+        a_prime = [(1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)]
+        pyramid = normalized_volume(PointConfiguration([(0, 0, 0)] + a_prime))
+        assert subdiagram_volume(g, h) == pyramid == 2
 
 
 # ---------------------------------------------------------------------------

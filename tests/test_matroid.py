@@ -21,11 +21,11 @@ from eulerdisc.matroid import (
     _beta,
     _rref_int,
     beta,
-    beta_whitney,
     generic_euler_char,
     signed_euler_char,
 )
 from eulerdisc.symcore import MultiPoly, VarTable, parse
+from oracles import beta_whitney
 
 
 def rand_matroid(rng, max_rows=3, max_cols=7):
