@@ -188,16 +188,6 @@ class DiscriminantReport:
         # for each coprime factor, in basis order
         self.per_factor = tuple(per_factor)
 
-    @property
-    def reduced(self) -> FactoredPolynomial:
-        """The product of the factors."""
-        return FactoredPolynomial((f, 1) for f, _, _, _ in self.per_factor)
-
-    @property
-    def with_multiplicity(self) -> FactoredPolynomial:
-        """The product of the factors to their exponents, an unknown one as 1."""
-        return FactoredPolynomial(self._counted())
-
     def _counted(self):
         """(factor, exponent) pairs, an unknown exponent counted as 1."""
         return [(f, e if isinstance(e, int) else 1) for f, e, _, _ in self.per_factor]
@@ -372,7 +362,7 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
 # Euler discriminant
 
 
-def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
+def euler_disc(f: ParamFamily, seed: int = 0,
                numerator_vars: Sequence[str] = (),
                find_witnesses: bool = True, *,
                symmetries: Sequence[Mapping[str, str]] = ()) -> DiscriminantReport:
@@ -381,10 +371,14 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     The reduced discriminant is the product of the pairwise-coprime factors
     of the not-identically-zero minors of the coefficient block.  Each
     factor's multiplicity is the drop of the signed Euler characteristic at
-    a rational witness on that factor's vanishing locus; factors without a
-    usable witness report "unknown".  Factor equal to a variable listed in
-    numerator_vars are flagged as normalized away by the integrand
-    numerator.
+    a rational witness on that factor's vanishing locus, read at the first
+    witness found; factors without a usable witness report "unknown".
+    Factors equal to a variable listed in numerator_vars are flagged as
+    normalized away by the integrand numerator.
+
+    The drop is the same at every witness w of delta: a minor vanishes at w
+    exactly when delta divides it, so the matroid of [I | z(w)], and its
+    beta, does not depend on w.
 
     symmetries, when given, are renamings of the parameters (name -> name,
     a permutation) under which the block is the same up to permuting its
@@ -398,7 +392,7 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
     minors = f.all_minors()
     if not minors:
         raise HypothesisError("every minor of the family vanishes identically")
-    chi_star = generic_euler_char(f, trials=trials, seed=seed)
+    chi_star = generic_euler_char(f, trials=3, seed=seed)
     if chi_star <= 0:
         raise HypothesisError("generic Euler characteristic is zero")
     factors = coprime_basis(minors)
@@ -431,24 +425,18 @@ def euler_disc(f: ParamFamily, seed: int = 0, trials: int = 3,
 
 
 def _chi_drop(f, chi_star, factors, screens, idx, seeds, memo):
-    """(exponent, witness) of factors[idx]: the chi drop where the witness
-    searches at seeds agree, else ("unknown", the witness found, if any)."""
+    """(exponent, witness) of factors[idx]: the chi drop at the witness of
+    the first seed whose search finds one; "unknown" for a drop below 1,
+    and ("unknown", None) when no search finds a witness."""
     delta = factors[idx]
     others = factors[:idx] + factors[idx + 1 :]
     others_screens = screens[:idx] + screens[idx + 1 :]
-    drops = []
-    witness = None
     for wseed in seeds:
         w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
-        if w is None:
-            continue
-        chi_w = signed_euler_char(f.z_at(w), memo=memo)
-        drops.append(chi_star - chi_w)
-        if witness is None:
-            witness = w
-    if drops and len(set(drops)) == 1 and drops[0] >= 1:
-        return drops[0], witness
-    return "unknown", witness
+        if w is not None:
+            drop = chi_star - signed_euler_char(f.z_at(w), memo=memo)
+            return (drop if drop >= 1 else "unknown"), w
+    return "unknown", None
 
 
 def _factor_images(factors, vt, symmetries):

@@ -16,7 +16,6 @@ import yaml
 
 from .errors import InputError
 from .graphs import CosmoGraph, PatternGraph
-from .symcore import VarTable, parse
 
 if TYPE_CHECKING:
     from .discriminant import ParamFamily
@@ -93,6 +92,7 @@ def ingest_cosmo(doc: dict) -> CosmoGraph:
 def ingest_family(doc: dict) -> ParamFamily:
     # imported here: the other documents need none of the pipelines
     from .discriminant import ParamFamily
+    from .symcore import VarTable, parse
 
     k = _int(doc["k"], "k")
     params = doc["params"]

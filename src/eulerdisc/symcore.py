@@ -953,9 +953,6 @@ class FactoredPolynomial:
     def total_degree(self) -> int:
         return sum(p.total_degree() * e for p, e in self.factors)
 
-    def factor_set(self):
-        return frozenset(p for p, _ in self.factors)
-
     def as_pairs(self):
         return [(str(p), e) for p, e in self.factors]
 

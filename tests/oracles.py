@@ -2,9 +2,9 @@
 library does not need itself."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from eulerdisc.symcore import MultiPoly, try_div
+from eulerdisc.symcore import FactoredPolynomial, MultiPoly, try_div
 
 
 def factor_multiplicity(p, factor):
@@ -16,6 +16,24 @@ def factor_multiplicity(p, factor):
             return e
         p = q
         e += 1
+
+
+def factor_set(f):
+    """The factors of a FactoredPolynomial, without their exponents."""
+    return frozenset(p for p, _ in f.factors)
+
+
+def reduced(rep):
+    """The product of a DiscriminantReport's factors."""
+    return FactoredPolynomial((f, 1) for f, _, _, _ in rep.per_factor)
+
+
+def with_multiplicity(rep):
+    """The product of a DiscriminantReport's factors to their exponents, an
+    unknown exponent counted as 1."""
+    return FactoredPolynomial(
+        (f, e if isinstance(e, int) else 1) for f, e, _, _ in rep.per_factor
+    )
 
 
 def expand(f, vars=None):
@@ -132,6 +150,72 @@ def beta_whitney(m):
         for sub in combinations(range(n), size):
             total += (-1) ** size * rank(sub)
     return (-1) ** rank(range(n)) * total
+
+
+def leibniz(m, vars):
+    """The determinant as the signed sum over permutations."""
+    n = len(m)
+    total = MultiPoly.zero(vars)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = MultiPoly.const(vars, sign)
+        for i in range(n):
+            prod = prod * m[i][perm[i]]
+        total = total + prod
+    return total
+
+
+def beta_from_bases(n, bases):
+    """Crapo beta of the matroid on range(n) with the given bases (bit
+    masks), by the signed Whitney rank sum.  A set is independent when it
+    lies in a basis; a dependent set has the largest rank of the sets one
+    element smaller."""
+    independent = set()
+    for b in bases:
+        sub = b
+        while True:
+            independent.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & b
+    rank = [0] * (1 << n)
+    total = 0
+    for a in range(1, 1 << n):
+        if a in independent:
+            rank[a] = bin(a).count("1")
+        else:
+            rank[a] = max(rank[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        total += (-1) ** bin(a).count("1") * rank[a]
+    return (-1) ** rank[-1] * total
+
+
+def divisibility_beta(family, delta=None):
+    """Beta of [I | z] at a witness of the basis factor delta, or at a
+    generic point when delta is None, without drawing any point.
+
+    A (k+1)-set B of columns is a basis when its maximal minor m_B, up to
+    sign a Leibniz minor of z, is not identically zero and delta does not
+    divide it (`try_div`).  At a witness of delta, which avoids every other
+    basis factor, these are the minors that do not vanish.  The chi drop
+    of delta is beta(family) - beta(family, delta).  Exponential in the
+    number of columns, so only for small families.
+    """
+    z, vt = family.entries, family.params
+    rows = len(z)
+    n = rows + family.ncols
+    bases = []
+    for cols in combinations(range(n), rows):
+        unit = {c for c in cols if c < rows}
+        zcols = [c - rows for c in cols if c >= rows]
+        m = leibniz([[z[i][j] for j in zcols] for i in range(rows) if i not in unit], vt)
+        if m.is_zero or (delta is not None and try_div(m, delta) is not None):
+            continue
+        bases.append(sum(1 << c for c in cols))
+    return beta_from_bases(n, bases)
 
 
 def _adjacency(edges, from_left):

@@ -476,6 +476,11 @@ class TestImportFootprint:
         loaded = self.modules("beta", str(FIXTURES / "central_matrix.yaml"))
         assert "eulerdisc.discriminant" not in loaded
 
+    def test_beta_does_not_load_symcore(self):
+        loaded = self.modules("beta", str(FIXTURES / "central_matrix.yaml"))
+        assert "eulerdisc.matroid" in loaded
+        assert "eulerdisc.symcore" not in loaded
+
 
 class TestTracedModules:
     # the benchmark's traced run imports every module in perfbench/tracer.py's

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerdisc.cosmo import coefficient_family
+from eulerdisc.cosmo import coefficient_family, cosmo_euler_disc
 from eulerdisc.errors import HypothesisError, InputError
 from eulerdisc.formats import ingest_family
 from eulerdisc.graphs import (
@@ -44,7 +44,14 @@ from eulerdisc.symcore import (
     residue_terms,
     residues,
 )
-from oracles import expand, saturating_matching
+from oracles import (
+    divisibility_beta,
+    expand,
+    factor_set,
+    reduced,
+    saturating_matching,
+    with_multiplicity,
+)
 
 
 def two_site_pattern():
@@ -266,11 +273,26 @@ class TestSymmetries:
         }
         assert len(orbits) < len(factors)
         first = [next(f for f in factors if f in orbit) for orbit in orbits]
-        assert sorted(map(str, searched)) == sorted(map(str, first * 2))
-        assert rep.with_multiplicity == plain.with_multiplicity
+        # one search per orbit: the first seed finds a witness for each
+        assert sorted(map(str, searched)) == sorted(map(str, first))
+        assert with_multiplicity(rep) == with_multiplicity(plain)
         # the first factor of each orbit keeps its own witness
         assert [w for f, _, w, _ in rep.per_factor if f in first] == \
             [w for f, _, w, _ in plain.per_factor if f in first]
+
+    def test_second_seed_only_where_the_first_search_fails(self, monkeypatch):
+        # z1's cubic has no witness within the budget at seed 0, so it alone
+        # is searched again, at seed 1000
+        searched = []
+        search = discriminant.witness_point
+        monkeypatch.setattr(discriminant, "witness_point",
+                            lambda delta, *a, **k: searched.append((str(delta), k["seed"]))
+                            or search(delta, *a, **k))
+        rep = euler_disc(z1_family(), seed=0)
+        cubic = [str(f) for f, e, _, _ in rep.per_factor if e == "unknown"]
+        assert len(cubic) == 1
+        expected = [(str(f), 0) for f, _, _, _ in rep.per_factor] + [(cubic[0], 1000)]
+        assert sorted(searched) == sorted(expected)
 
     def test_renaming_that_moves_a_factor_off_the_set_is_not_used(self):
         # w1 <-> w2 does not map the z1 factor set onto itself
@@ -301,7 +323,7 @@ class TestEulerDisc:
                 ("X2-Y12", 1), ("X1-Y12", 1), ("Y12", 1),
             ]
         }
-        assert set(rep.with_multiplicity.as_pairs()) == expected
+        assert set(with_multiplicity(rep).as_pairs()) == expected
         flagged = [f for f, _, _, flags in rep.per_factor if "numerator-normalized" in flags]
         assert [str(f) for f in flagged] == ["Y12"]
         assert not rep.has_unknown
@@ -349,8 +371,8 @@ class TestEulerDisc:
         rep = euler_disc(fam)
         dense = pad_dense(1, 3)
         rename = {f"z{i}{j}": parse(f"a{i}{j - 2}", vt) for i in range(2) for j in (2, 3)}
-        expected = {str(p.subs(rename)) for p in dense.factor_set()}
-        assert {str(f) for f in rep.reduced.factor_set()} == expected
+        expected = {str(p.subs(rename)) for p in factor_set(dense)}
+        assert {str(f) for f in factor_set(reduced(rep))} == expected
 
     def test_central_family_rejected(self):
         vt = VarTable(["t"])
@@ -360,7 +382,7 @@ class TestEulerDisc:
 
     def test_report_consistency_and_serialization(self):
         rep = euler_disc(z2_family())
-        assert rep.reduced.factor_set() == rep.with_multiplicity.factor_set()
+        assert factor_set(reduced(rep)) == factor_set(with_multiplicity(rep))
         d = rep.to_dict()
         assert d["chi_star"] == 3
         assert d["has_unknown"] is True
@@ -380,10 +402,60 @@ class TestEulerDisc:
         rep = DiscriminantReport(2, [(p, e, None, ()) for p, e in exps])
         assert str(rep).splitlines()[-1] == "degree >= 4  [2 unknown exponents counted as 1]"
         # the factored forms are read from the same factor list
-        assert rep.reduced == FactoredPolynomial([(a, 1), (b, 1), (ab, 1)])
-        assert rep.with_multiplicity == FactoredPolynomial([(a, 2), (b, 1), (ab, 1)])
+        assert reduced(rep) == FactoredPolynomial([(a, 1), (b, 1), (ab, 1)])
+        assert with_multiplicity(rep) == FactoredPolynomial([(a, 2), (b, 1), (ab, 1)])
         rep = DiscriminantReport(2, [(a, 3, None, ())])
         assert str(rep).splitlines()[-1] == "degree = 3"
+
+
+GRAPHS = {
+    "two_site": CosmoGraph.from_pairs(2, [(1, 2)]),
+    "three_site": CosmoGraph.from_pairs(3, [(1, 2), (2, 3)]),
+    "path4": CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4)]),
+}
+
+
+class TestOneWitnessSuffices:
+    """`euler_disc` reads each exponent at one witness.  The drop is the
+    same at every witness, and a witness-free oracle gives it too."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_drop_is_the_same_at_every_witness(self, name):
+        g = GRAPHS[name]
+        fam = coefficient_family(g)
+        rep = cosmo_euler_disc(g, seed=0)
+        factors = [f for f, _, _, _ in rep.per_factor]
+        memo = {}
+        for idx, (delta, exponent, _, _) in enumerate(rep.per_factor):
+            others = factors[:idx] + factors[idx + 1 :]
+            drops = set()
+            for seed in range(5):
+                w = witness_point(delta, avoid=others, seed=seed)
+                assert w is not None
+                drops.add(rep.chi_star - signed_euler_char(fam.z_at(w), memo=memo))
+            assert drops == {exponent}, str(delta)
+
+    # z1 and z2 each have one cubic with no rational witness in the budget,
+    # which the report leaves "unknown"; the oracle's drop for it is recorded
+    @pytest.mark.parametrize("family, unknown_drops", [
+        (lambda: coefficient_family(GRAPHS["two_site"]), []),
+        (lambda: coefficient_family(CosmoGraph.from_pairs(2, [(1, 2), (1, 2)])), []),
+        (lambda: coefficient_family(GRAPHS["three_site"]), []),
+        (z1_family, [1]),
+        (z2_family, [1]),
+    ], ids=["two_site", "bubble", "three_site", "z1", "z2"])
+    def test_witness_free_oracle_matches_every_exponent(self, family, unknown_drops):
+        fam = family()
+        rep = euler_disc(fam, seed=0)
+        assert divisibility_beta(fam) == rep.chi_star
+        unknown = []
+        for delta, exponent, _, _ in rep.per_factor:
+            drop = rep.chi_star - divisibility_beta(fam, delta)
+            if exponent == "unknown":
+                unknown.append(drop)
+            else:
+                assert drop == exponent, str(delta)
+        assert unknown == unknown_drops
 
 
 class TestChiDrop:
@@ -394,7 +466,7 @@ class TestChiDrop:
             "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
         })
         rep = euler_disc(fam)
-        factors = list(rep.reduced.factor_set())
+        factors = list(factor_set(reduced(rep)))
         rng = random.Random(401)
         # on each factor: strictly smaller than the generic value
         for delta in factors:

@@ -35,7 +35,7 @@ from eulerdisc.symcore import (
     poly_gcd,
     try_div,
 )
-from oracles import eval_fraction, expand, factor_multiplicity, poly_str
+from oracles import eval_fraction, expand, factor_multiplicity, leibniz, poly_str
 
 VT = VarTable(["x", "y", "z"])
 
@@ -415,23 +415,6 @@ class TestDet:
         assert d.total_degree() == 3
         pt = {name: k * k + 1 for k, name in enumerate(names)}
         assert d.eval(pt) == det_adj([[pt[f"z{i}{j}"] for j in range(3, 6)] for i in range(3)])[0]
-
-
-def leibniz(m, vars):
-    """Oracle: the determinant as the signed sum over permutations."""
-    n = len(m)
-    total = MultiPoly.zero(vars)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = MultiPoly.const(vars, sign)
-        for i in range(n):
-            prod = prod * m[i][perm[i]]
-        total = total + prod
-    return total
 
 
 def leibniz_minors(m, vars):
