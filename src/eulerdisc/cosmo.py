@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
-from .discriminant import DiscriminantReport, FactoredPolynomial, ParamFamily, euler_disc, pad_sparse
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, automorphisms, connected_subgraphs, reachable
-from .symcore import MultiPoly, RationalFunction, VarTable, _mul_into, _pack, _width
+from .symcore import FactoredPolynomial, MultiPoly, RationalFunction, VarTable, _mul_into, _pack, _width
+
+# the discriminant pipeline is imported by the functions that build a
+# family or a principal A-determinant, so `cosmo-psi` does not load it
+if TYPE_CHECKING:
+    from .discriminant import DiscriminantReport, ParamFamily
 
 __all__ = [
     "energy_vars",
@@ -240,6 +244,8 @@ def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
 def coefficient_family(g: CosmoGraph) -> ParamFamily:
     """Family of the shifted arrangement: row 0 holds the constant parts of
     the facet forms, row v the 0/1 coefficient of the shifted vertex v."""
+    from .discriminant import ParamFamily
+
     vt = energy_vars(g)
     forms = facet_forms(g)
     n = g.vertex_count
@@ -265,14 +271,19 @@ def cosmo_pattern(g: CosmoGraph) -> PatternGraph:
 def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
     """Principal A-determinant of the sparsity pattern of the family, with
     each nonzero entry treated as an independent variable."""
+    from .discriminant import pad_sparse
+
     return pad_sparse(cosmo_pattern(g))
 
 
 # The gate counts the (I, J) pairs of the family's minors.  Measured
-# `cosmo-disc` CLI peaks (Python 3.11, 2-CPU host): the 5-star, 230,229
-# pairs, 187 MB and 16-18 s of CPU; the 6-path, 1,184,039 pairs, ran out of
-# memory at 2.9 GB.  The 5-cycle (906,191) is refused without having been
-# run.
+# `cosmo-disc` CLI runs (Python 3.11, 2-CPU host): the 5-star, 230,229
+# pairs, 90 MB peak and 3.8-4.5 s of CPU.  The minors no longer set the
+# cost: in process, `all_minors` takes 2.8-3.1 s on the 6-path (1,184,039
+# pairs) and 2.4-2.8 s on the 5-cycle (906,191), each within 20 MB of peak
+# RSS.  It is the beta memo of their witness search that outgrows memory:
+# under a 1 GB address-space limit each stops after fewer than 300 of its
+# orbits.
 MAX_DISC_PAIRS = 250_000
 
 
@@ -296,6 +307,8 @@ def cosmo_euler_disc(
     Raises SizeLimitError before any minor is built when the family has
     more than MAX_DISC_PAIRS (I, J) pairs.
     """
+    from .discriminant import euler_disc
+
     fam = coefficient_family(g)
     pairs = _minor_pairs(fam)
     if pairs > MAX_DISC_PAIRS:

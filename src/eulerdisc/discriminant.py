@@ -3,7 +3,8 @@
 Two pipelines: a closed-form product of minors with volume exponents for
 a sparse coefficient pattern, and a reduced discriminant with
 multiplicities from Euler characteristic drops for a parametrized
-coefficient family.
+coefficient family.  Each imports the lattice or matroid code it runs in
+its own body, so neither pipeline loads the other's.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import HypothesisError, InputError
 from .graphs import PatternGraph, condition_star, induced, is_connected
-from .lattice import edge_config, lattice_normalize, normalized_volume, subdiagram_volume
-from .matroid import generic_euler_char, signed_euler_char
 from .symcore import (
     FactoredPolynomial,
     MultiPoly,
@@ -74,6 +73,8 @@ def pad_sparse(g: PatternGraph) -> FactoredPolynomial:
     come from one `symcore.minors` of the symbolic block, so each is
     expanded over the smaller minors it contains.
     """
+    from .lattice import subdiagram_volume
+
     if not is_connected(g):
         raise HypothesisError("pattern graph must be connected")
     vt = pattern_vars(g)
@@ -109,6 +110,8 @@ def pad_dense(k: int, n: int) -> FactoredPolynomial:
 
 def degree_check(e: FactoredPolynomial, c) -> bool:
     """Degree identity: deg E_A = (dim + 1) * normalized volume."""
+    from .lattice import lattice_normalize, normalized_volume
+
     d, _ = lattice_normalize(c)
     return e.total_degree() == (d + 1) * normalized_volume(c)
 
@@ -161,20 +164,106 @@ class ParamFamily:
     def all_minors(self):
         """Distinct minors det(z_{I,J}) of the block over all |I| = |J| >= 1,
         each once, in the order of its first (size, I, J), with the
-        identically-zero ones dropped; cached.  One `symcore.minors` expands
-        each over the minors one size smaller."""
+        identically-zero ones dropped; cached.
+
+        A block with at most one non-constant row, such as every cosmo
+        family, goes through `_one_row_minors`.  Any other block goes
+        through one `symcore.minors`, which expands each minor over the
+        minors one size smaller."""
         if self._minors is None:
-            minor = minors(self.entries)
-            out = {}
-            nr, nc = self.k + 1, self.ncols
-            for size in range(1, min(nr, nc) + 1):
-                for I in combinations(range(nr), size):
-                    for J in combinations(range(nc), size):
-                        m = minor(I, J)
-                        if not m.is_zero:
-                            out[m] = None
-            self._minors = list(out)
+            symbolic = [i for i, row in enumerate(self.entries)
+                        if not all(p.is_constant for p in row)]
+            if len(symbolic) <= 1:
+                self._minors = _one_row_minors(self.entries, symbolic[0] if symbolic else 0)
+            else:
+                minor = minors(self.entries)
+                out = {}
+                nr, nc = self.k + 1, self.ncols
+                for size in range(1, min(nr, nc) + 1):
+                    for I in combinations(range(nr), size):
+                        for J in combinations(range(nc), size):
+                            m = minor(I, J)
+                            if not m.is_zero:
+                                out[m] = None
+                self._minors = list(out)
         return self._minors
+
+
+def _one_row_minors(entries, r):
+    """`ParamFamily.all_minors` of a block whose rows other than r are
+    integer constants.
+
+    Laplace along row r: with r at position p of the rows I, the minor on
+    I and the columns J is the sum over k of (-1)^(p + k) L[J[k]] times
+    det(A[I - r, J - J[k]]), where A is the integer rows and L row r.  So
+    it is an integer vector over the monomials of row r, and a minor
+    without row r is an integer, the vector on the monomial 1.  The
+    integer minors of A are kept for two sizes at a time, each expanded
+    along its first row.  The vectors are compared as tuples, and only the
+    distinct ones become a MultiPoly.
+    """
+    vt = entries[r][0].vars
+    nr, nc = len(entries), len(entries[0])
+    one = (0,) * len(vt)
+    monomials = sorted({one}.union(*(p.terms for p in entries[r])))
+    at = {e: i for i, e in enumerate(monomials)}
+    unit, width = at[one], len(monomials)
+    row_r = [[(at[e], c) for e, c in p.terms.items()] for p in entries[r]]
+    A = {i: [p.constant_value() for p in row] for i, row in enumerate(entries) if i != r}
+    bit = [1 << j for j in range(nc)]
+
+    def columns(size):
+        """Each column tuple J of this size, with its mask."""
+        return zip(combinations(range(nc), size), map(sum, combinations(bit, size)))
+
+    # (row mask << nc | column mask) -> det of A on those rows and columns,
+    # nonzero ones only; prev holds the minors one size smaller than cur
+    prev = {0: 1}
+    out = {}
+    for size in range(1, min(nr, nc) + 1):
+        cur = {}
+        for I in combinations(A, size):
+            top = A[I[0]]
+            rest = sum(1 << i for i in I[1:]) << nc
+            here = rest | 1 << I[0] << nc
+            for J, jmask in columns(size):
+                d = 0
+                for k, j in enumerate(J):
+                    a = top[j]
+                    if a:
+                        sub = prev.get(rest | jmask ^ bit[j])
+                        if sub:
+                            d += -a * sub if k & 1 else a * sub
+                if d:
+                    cur[here | jmask] = d
+        for I in combinations(range(nr), size):
+            if r in I:
+                p = I.index(r)
+                rest = sum(1 << i for i in I if i != r) << nc
+                for J, jmask in columns(size):
+                    v = [0] * width
+                    for k, j in enumerate(J):
+                        d = prev.get(rest | jmask ^ bit[j])
+                        if d:
+                            if (p + k) & 1:
+                                d = -d
+                            for t, c in row_r[j]:
+                                v[t] += d * c
+                    if any(v):
+                        out.setdefault(tuple(v))
+            else:
+                here = sum(1 << i for i in I) << nc
+                for J, jmask in columns(size):
+                    d = cur.get(here | jmask)
+                    if d:
+                        v = [0] * width
+                        v[unit] = d
+                        out.setdefault(tuple(v))
+        prev = cur
+    return [
+        MultiPoly._raw(vt, {monomials[t]: c for t, c in enumerate(v) if c})
+        for v in out
+    ]
 
 
 class DiscriminantReport:
@@ -389,10 +478,12 @@ def euler_disc(f: ParamFamily, seed: int = 0,
     beta then run once per orbit, on its first factor.  A renaming that
     does not map the factor set onto itself is not used.
     """
+    from .matroid import generic_euler_char
+
     minors = f.all_minors()
     if not minors:
         raise HypothesisError("every minor of the family vanishes identically")
-    chi_star = generic_euler_char(f, trials=3, seed=seed)
+    chi_star = generic_euler_char(f, seed=seed)
     if chi_star <= 0:
         raise HypothesisError("generic Euler characteristic is zero")
     factors = coprime_basis(minors)
@@ -428,6 +519,8 @@ def _chi_drop(f, chi_star, factors, screens, idx, seeds, memo):
     """(exponent, witness) of factors[idx]: the chi drop at the witness of
     the first seed whose search finds one; "unknown" for a drop below 1,
     and ("unknown", None) when no search finds a witness."""
+    from .matroid import signed_euler_char
+
     delta = factors[idx]
     others = factors[:idx] + factors[idx + 1 :]
     others_screens = screens[:idx] + screens[idx + 1 :]

@@ -179,16 +179,20 @@ def signed_euler_char(z_rows, *, memo=None) -> int:
     return _beta(_rref_int(full), {} if memo is None else memo)
 
 
-def generic_euler_char(family, trials: int = 3, seed: int = 0, retry_budget: int = 200) -> int:
+def generic_euler_char(family, trials: int = 1, seed: int = 0, retry_budget: int = 200) -> int:
     """Signed Euler characteristic at generic parameters of a family.
 
     Samples random rational parameter points, rejects any point where an
     identically-nonzero minor of the coefficient block vanishes, and checks
-    that all accepted samples agree.  The family must expose param_names,
-    z_at(values) and all_minors().
+    that all `trials` accepted samples agree.  The family must expose
+    param_names, z_at(values) and all_minors().
+
+    One accepted point suffices: the maximal minors of [I | z] are, up to
+    sign, minors of z and 1, so at every such point the matroid is the one
+    whose bases B have m_B not identically zero, and beta is the same.
     """
-    if trials < 2:
-        raise InputError("need at least 2 trials")
+    if trials < 1:
+        raise InputError("need at least 1 trial")
     rng = random.Random(seed)
     minors = family.all_minors()
     memo = {}

@@ -4,7 +4,7 @@ library does not need itself."""
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from eulerdisc.symcore import FactoredPolynomial, MultiPoly, try_div
+from eulerdisc.symcore import FactoredPolynomial, MultiPoly, minors, try_div
 
 
 def factor_multiplicity(p, factor):
@@ -167,6 +167,39 @@ def leibniz(m, vars):
             prod = prod * m[i][perm[i]]
         total = total + prod
     return total
+
+
+def leibniz_minors(m, vars):
+    """Every balanced (I, J) of the matrix m with the Leibniz value of its
+    minor, by size, then I, then J."""
+    nr, nc = len(m), len(m[0])
+    out = []
+    for size in range(1, min(nr, nc) + 1):
+        for I in combinations(range(nr), size):
+            for J in combinations(range(nc), size):
+                out.append(((I, J), leibniz([[m[i][j] for j in J] for i in I], vars)))
+    return out
+
+
+def first_nonzero(values):
+    """The nonzero polynomials among values, each once, in the order of its
+    first occurrence: the list `ParamFamily.all_minors` makes of a block's
+    minors taken by size, then I, then J."""
+    return list(dict.fromkeys(v for v in values if not v.is_zero))
+
+
+def expanded_minors(m):
+    """The minors of every balanced (I, J) of the matrix m, by size, then I,
+    then J, each from one `symcore.minors` (Laplace along the first row of
+    the minor, memoized), however many rows of m are constant."""
+    minor = minors(m)
+    nr, nc = len(m), len(m[0])
+    return [
+        minor(I, J)
+        for size in range(1, min(nr, nc) + 1)
+        for I in combinations(range(nr), size)
+        for J in combinations(range(nc), size)
+    ]
 
 
 def beta_from_bases(n, bases):

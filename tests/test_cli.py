@@ -481,6 +481,27 @@ class TestImportFootprint:
         assert "eulerdisc.matroid" in loaded
         assert "eulerdisc.symcore" not in loaded
 
+    # (command and input, a module it runs, the pipeline modules it must
+    # not load)
+    @pytest.mark.parametrize("args, runs, absent", [
+        (("pad", "artificial.yaml"), "eulerdisc.lattice", {"eulerdisc.matroid"}),
+        (("polytope", "two_site_pattern.yaml"), "eulerdisc.lattice",
+         {"eulerdisc.discriminant", "eulerdisc.matroid", "eulerdisc.symcore"}),
+        (("euler-disc", "z1_family.yaml"), "eulerdisc.matroid",
+         {"eulerdisc.lattice", "eulerdisc.kernels"}),
+        (("cosmo-disc", "two_site_graph.yaml"), "eulerdisc.matroid",
+         {"eulerdisc.lattice", "eulerdisc.kernels"}),
+        (("cosmo-psi", "three_site_graph.yaml"), "eulerdisc.cosmo",
+         {"eulerdisc.discriminant", "eulerdisc.lattice", "eulerdisc.kernels", "eulerdisc.matroid"}),
+        (("cosmo-facets", "bubble_graph.yaml"), "eulerdisc.cosmo",
+         {"eulerdisc.discriminant", "eulerdisc.lattice", "eulerdisc.kernels", "eulerdisc.matroid"}),
+    ], ids=["pad", "polytope", "euler-disc", "cosmo-disc", "cosmo-psi", "cosmo-facets"])
+    def test_command_loads_only_its_pipeline(self, args, runs, absent):
+        command, name = args
+        loaded = self.modules(command, str(FIXTURES / name))
+        assert runs in loaded
+        assert not loaded & absent
+
 
 class TestTracedModules:
     # the benchmark's traced run imports every module in perfbench/tracer.py's

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from eulerdisc.cosmo import coefficient_family, cosmo_euler_disc
 from eulerdisc.errors import HypothesisError, InputError
-from eulerdisc.formats import ingest_family
+from eulerdisc.formats import ingest_cosmo, ingest_family, load_document
 from eulerdisc.graphs import (
     CosmoGraph,
     PatternGraph,
@@ -47,7 +48,10 @@ from eulerdisc.symcore import (
 from oracles import (
     divisibility_beta,
     expand,
+    expanded_minors,
     factor_set,
+    first_nonzero,
+    leibniz_minors,
     reduced,
     saturating_matching,
     with_multiplicity,
@@ -448,6 +452,8 @@ class TestOneWitnessSuffices:
         fam = family()
         rep = euler_disc(fam, seed=0)
         assert divisibility_beta(fam) == rep.chi_star
+        # chi* is read at one generic point; every seed's point gives it
+        assert {generic_euler_char(fam, seed=s) for s in range(1, 5)} == {rep.chi_star}
         unknown = []
         for delta, exponent, _, _ in rep.per_factor:
             drop = rep.chi_star - divisibility_beta(fam, delta)
@@ -715,3 +721,73 @@ class TestDistinctMinors:
         again = euler_disc(repeated, seed=0)
         assert again.to_dict() == report.to_dict()
         assert str(again) == str(report)
+
+
+VT_BLOCK = VarTable(["a", "b", "c"])
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@st.composite
+def one_row_blocks(draw):
+    """Blocks up to 4 x 6 of integer rows and one polynomial row, at any
+    position, with some integer rows and columns zero."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, nr - 1))
+    zero_rows = draw(st.sets(st.integers(0, nr - 1)))
+    zero_cols = draw(st.sets(st.integers(0, nc - 1), max_size=2))
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+        st.integers(-3, 3), max_size=3,
+    ).map(lambda t: MultiPoly(VT_BLOCK, t))
+    rows = []
+    for i in range(nr):
+        if i == r:
+            rows.append(draw(st.lists(poly, min_size=nc, max_size=nc)))
+            continue
+        values = draw(st.lists(st.integers(-2, 2), min_size=nc, max_size=nc))
+        rows.append([
+            MultiPoly.const(VT_BLOCK, 0 if i in zero_rows or j in zero_cols else x)
+            for j, x in enumerate(values)
+        ])
+    return rows
+
+
+def fixture_graph(name):
+    return ingest_cosmo(load_document(FIXTURES / name))
+
+
+class TestOneRowMinors:
+    """A block with one non-constant row gets its minors by Laplace along
+    that row over integer sub-minors; the list is the one every other
+    route gives, order included."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(block=one_row_blocks())
+    def test_matches_leibniz(self, block):
+        fam = ParamFamily(len(block) - 1, VT_BLOCK, block)
+        expected = first_nonzero(v for _, v in leibniz_minors(block, VT_BLOCK))
+        assert fam.all_minors() == expected
+
+    @pytest.mark.parametrize("graph", [
+        lambda: fixture_graph("two_site_graph.yaml"),
+        lambda: fixture_graph("bubble_graph.yaml"),
+        lambda: fixture_graph("three_site_graph.yaml"),
+        lambda: CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)]),
+        lambda: CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4)]),
+        lambda: CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    ], ids=["two_site", "bubble", "three_site", "triangle", "path4", "cycle4"])
+    def test_matches_expansion_on_cosmo_families(self, graph):
+        fam = coefficient_family(graph())
+        assert fam.all_minors() == first_nonzero(expanded_minors(fam.entries))
+
+    def test_route_is_keyed_on_the_block_shape(self, monkeypatch):
+        calls = []
+        expansion = discriminant.minors
+        monkeypatch.setattr(discriminant, "minors",
+                            lambda m: calls.append(m) or expansion(m))
+        path4_family().all_minors()
+        assert calls == []
+        z1_family().all_minors()
+        assert len(calls) == 1
+        pad_sparse(two_site_pattern())
+        assert len(calls) == 2

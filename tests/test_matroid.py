@@ -339,9 +339,9 @@ class TestGenericEulerChar:
         v = generic_euler_char(fam, trials=3, seed=1)
         assert v == generic_euler_char(fam, trials=3, seed=2)
 
-    def test_requires_two_trials(self):
+    def test_requires_a_trial(self):
         with pytest.raises(InputError):
-            generic_euler_char(_StubFamily(), trials=1)
+            generic_euler_char(_StubFamily(), trials=0)
 
     def test_degenerate_family_raises(self):
         class Bad(_StubFamily):

@@ -7,7 +7,7 @@ construct-then-check for gcd).
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 from unittest import mock
 
 import pytest
@@ -35,7 +35,14 @@ from eulerdisc.symcore import (
     poly_gcd,
     try_div,
 )
-from oracles import eval_fraction, expand, factor_multiplicity, leibniz, poly_str
+from oracles import (
+    eval_fraction,
+    expand,
+    factor_multiplicity,
+    first_nonzero,
+    leibniz_minors,
+    poly_str,
+)
 
 VT = VarTable(["x", "y", "z"])
 
@@ -417,18 +424,6 @@ class TestDet:
         assert d.eval(pt) == det_adj([[pt[f"z{i}{j}"] for j in range(3, 6)] for i in range(3)])[0]
 
 
-def leibniz_minors(m, vars):
-    """Every balanced (I, J) of m with the Leibniz value of its minor, by
-    size, then I, then J."""
-    nr, nc = len(m), len(m[0])
-    out = []
-    for size in range(1, min(nr, nc) + 1):
-        for I in combinations(range(nr), size):
-            for J in combinations(range(nc), size):
-                out.append(((I, J), leibniz([[m[i][j] for j in J] for i in I], vars)))
-    return out
-
-
 const_entry = st.integers(-3, 3).map(lambda c: MultiPoly.const(VT, c))
 poly_entry = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3), max_size=3
@@ -470,11 +465,8 @@ class TestMinorsOracle:
                         ["0", "w1-w3", "w1+w2+w3", "1"]],
         })
         for fam in (triangle, z1):
-            # each distinct nonzero minor once, where it first occurs
-            expected = dict.fromkeys(
-                v for _, v in leibniz_minors(fam.entries, fam.params) if not v.is_zero
-            )
-            assert fam.all_minors() == list(expected)
+            expected = first_nonzero(v for _, v in leibniz_minors(fam.entries, fam.params))
+            assert fam.all_minors() == expected
 
 
 def naive_product(a, b):
