@@ -278,9 +278,9 @@ def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
 
 # The gate counts the (I, J) pairs of the family's minors.  Measured
 # `cosmo-disc` CLI runs (Python 3.11, 2-CPU host): the 5-star, 230,229
-# pairs, 90 MB peak and 3.8-4.5 s of CPU.  The minors no longer set the
-# cost: in process, `all_minors` takes 2.8-3.1 s on the 6-path (1,184,039
-# pairs) and 2.4-2.8 s on the 5-cycle (906,191), each within 20 MB of peak
+# pairs, 90 MB peak and 2.7-3.9 s of CPU.  The minors no longer set the
+# cost: in process, `all_minors` takes 1.8-2.6 s on the 6-path (1,184,039
+# pairs) and 1.5-2.3 s on the 5-cycle (906,191), each within 20 MB of peak
 # RSS.  It is the beta memo of their witness search that outgrows memory:
 # under a 1 GB address-space limit each stops after fewer than 300 of its
 # orbits.

@@ -222,20 +222,6 @@ def _one_row_minors(entries, r):
     out = {}
     for size in range(1, min(nr, nc) + 1):
         cur = {}
-        for I in combinations(A, size):
-            top = A[I[0]]
-            rest = sum(1 << i for i in I[1:]) << nc
-            here = rest | 1 << I[0] << nc
-            for J, jmask in columns(size):
-                d = 0
-                for k, j in enumerate(J):
-                    a = top[j]
-                    if a:
-                        sub = prev.get(rest | jmask ^ bit[j])
-                        if sub:
-                            d += -a * sub if k & 1 else a * sub
-                if d:
-                    cur[here | jmask] = d
         for I in combinations(range(nr), size):
             if r in I:
                 p = I.index(r)
@@ -251,14 +237,23 @@ def _one_row_minors(entries, r):
                                 v[t] += d * c
                     if any(v):
                         out.setdefault(tuple(v))
-            else:
-                here = sum(1 << i for i in I) << nc
-                for J, jmask in columns(size):
-                    d = cur.get(here | jmask)
-                    if d:
-                        v = [0] * width
-                        v[unit] = d
-                        out.setdefault(tuple(v))
+                continue
+            top = A[I[0]]
+            rest = sum(1 << i for i in I[1:]) << nc
+            here = rest | 1 << I[0] << nc
+            for J, jmask in columns(size):
+                d = 0
+                for k, j in enumerate(J):
+                    a = top[j]
+                    if a:
+                        sub = prev.get(rest | jmask ^ bit[j])
+                        if sub:
+                            d += -a * sub if k & 1 else a * sub
+                if d:
+                    cur[here | jmask] = d
+                    v = [0] * width
+                    v[unit] = d
+                    out.setdefault(tuple(v))
         prev = cur
     return [
         MultiPoly._raw(vt, {monomials[t]: c for t, c in enumerate(v) if c})
