@@ -383,12 +383,12 @@ def _avoids_all(avoid, screens, point, names) -> bool:
 
 
 def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int = 0,
-                  budget: int = 600, *, screens=None):
+                  *, screens=None):
     """A rational point with delta = 0 and every avoid polynomial nonzero.
 
     Tries solving for a variable of degree 1 first, then a rational-root
     search on random univariate slices.  Returns a name -> Fraction map, or
-    None when the budget is exhausted.  screens, when given, holds the
+    None when 600 attempts find none.  screens, when given, holds the
     `residue_terms` of each avoid polynomial, so a caller that searches
     many witnesses against one set builds them once.
 
@@ -412,7 +412,7 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
     # delta as a univariate in each search variable: degree -> coefficient
     slices = {v: _uni_coeffs(delta, delta.vars.index(v)) for v in search_vars}
 
-    for attempt in range(budget):
+    for attempt in range(600):
         v = search_vars[attempt % len(search_vars)]
         den = 1 if attempt < 2 * len(search_vars) else rng.randint(1, 3)
         values = {
@@ -455,8 +455,9 @@ def euler_disc(f: ParamFamily, seed: int = 0,
     The reduced discriminant is the product of the pairwise-coprime factors
     of the not-identically-zero minors of the coefficient block.  Each
     factor's multiplicity is the drop of the signed Euler characteristic at
-    a rational witness on that factor's vanishing locus, read at the first
-    witness found; factors without a usable witness report "unknown".
+    a rational witness on that factor's vanishing locus, read at the witness
+    one search at seed finds; factors it finds none for report "unknown",
+    and a drop below 1 raises ArithmeticError.
     Factors equal to a variable listed in numerator_vars are flagged as
     normalized away by the integrand numerator.
 
@@ -485,14 +486,15 @@ def euler_disc(f: ParamFamily, seed: int = 0,
     images = _factor_images(factors, f.params, symmetries)
     memo = {}  # beta memo shared by every witness point of this call
     screens = [residue_terms(q) for q in factors]
-    seeds = (seed, seed + 1000) if find_witnesses else ()
     found = {}  # factor index -> (exponent, witness) from an orbit's first factor
     per_factor = []
     for idx, delta in enumerate(factors):
         if idx in found:
             exponent, witness = found[idx]
+        elif not find_witnesses:
+            exponent, witness = "unknown", None
         else:
-            exponent, witness = _chi_drop(f, chi_star, factors, screens, idx, seeds, memo)
+            exponent, witness = _chi_drop(f, chi_star, factors, screens, idx, seed, memo)
             if exponent != "unknown":
                 for rename, image in images:
                     moved = {rename[name]: v for name, v in witness.items()}
@@ -510,21 +512,24 @@ def euler_disc(f: ParamFamily, seed: int = 0,
     return DiscriminantReport(chi_star, per_factor)
 
 
-def _chi_drop(f, chi_star, factors, screens, idx, seeds, memo):
-    """(exponent, witness) of factors[idx]: the chi drop at the witness of
-    the first seed whose search finds one; "unknown" for a drop below 1,
-    and ("unknown", None) when no search finds a witness."""
+def _chi_drop(f, chi_star, factors, screens, idx, seed, memo):
+    """(exponent, witness) of factors[idx]: the chi drop at the witness the
+    search at seed finds, and ("unknown", None) when it finds none.  A
+    drop below 1 at a witness is an internal inconsistency: it raises
+    ArithmeticError rather than being reported as "unknown"."""
     from .matroid import signed_euler_char
 
     delta = factors[idx]
     others = factors[:idx] + factors[idx + 1 :]
-    others_screens = screens[:idx] + screens[idx + 1 :]
-    for wseed in seeds:
-        w = witness_point(delta, avoid=others, seed=wseed, screens=others_screens)
-        if w is not None:
-            drop = chi_star - signed_euler_char(f.z_at(w), memo=memo)
-            return (drop if drop >= 1 else "unknown"), w
-    return "unknown", None
+    w = witness_point(delta, avoid=others, seed=seed,
+                      screens=screens[:idx] + screens[idx + 1 :])
+    if w is None:
+        return "unknown", None
+    drop = chi_star - signed_euler_char(f.z_at(w), memo=memo)
+    if drop < 1:
+        point = ", ".join(f"{k}={v}" for k, v in sorted(w.items()))
+        raise ArithmeticError(f"chi drop {drop} < 1 for factor {delta} at witness {point}")
+    return drop, w
 
 
 def _factor_images(factors, vt, symmetries):

@@ -1,15 +1,16 @@
-"""Linear matroids over the rationals and signed Euler characteristics.
+"""Crapo beta invariants of rational matrices and signed Euler characteristics.
 
 The signed Euler characteristic of a hyperplane arrangement complement is
 computed combinatorially as the Crapo beta invariant of the column matroid
 of the coefficient matrix prefixed with an identity block; no topology is
-involved.  Beta runs by deletion-contraction on integer matrices in a
-canonical RREF, reduced fraction-free with each row primitive and its pivot
-positive: a fixed rescaling of the unique RREF, hence a sound memo key.
-Minors of rank 1 and 2 are answered in closed form and never memoized;
-only the rank >= 3 nodes go through the memo.  The memo lives for one call
-(`euler_disc` shares one across its witness points); nothing is cached
-between calls.
+involved.  `beta` and `signed_euler_char` take the matrix as rows of
+rationals and check its shape in one place, `_matrix`.  Beta runs by
+deletion-contraction on integer matrices in a canonical RREF, reduced
+fraction-free with each row primitive and its pivot positive: a fixed
+rescaling of the unique RREF, hence a sound memo key.  Minors of rank 1
+and 2 are answered in closed form and never memoized; only the rank >= 3
+nodes go through the memo.  The memo lives for one call (`euler_disc`
+shares one across its witness points); nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from math import gcd, lcm
 from .errors import HypothesisError, InputError
 
 __all__ = [
-    "LinearMatroid",
     "beta",
     "signed_euler_char",
     "generic_euler_char",
@@ -67,31 +67,6 @@ def _rref_int(rows):
         m = [row for row in m if any(row)]
         r += 1
     return tuple(_primitive(row) for row in m)
-
-
-class LinearMatroid:
-    """Column matroid of an exact rational matrix."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if rows:
-            n = len(rows[0])
-            if any(len(r) != n for r in rows):
-                raise InputError("matrix rows have mixed lengths")
-        else:
-            raise InputError("matrix must have at least one row")
-        self.rows = rows
-        self.ncols = len(rows[0])
-
-    def rank(self, subset=None) -> int:
-        if subset is None:
-            subset = range(self.ncols)
-        cols = sorted(set(subset))
-        if not all(0 <= c < self.ncols for c in cols):
-            raise InputError("subset out of range")
-        return len(_rref_int([[row[c] for c in cols] for row in self.rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +123,24 @@ def _beta_rank2(rows):
     return len(classes) - 2
 
 
-def beta(m: LinearMatroid) -> int:
-    """Crapo beta invariant; 0 when a loop is present (with more than one
-    element), 1 for a single coloop."""
-    if m.ncols == 0:
+def _matrix(rows):
+    """rows as lists of Fractions, after checking they form a matrix with
+    at least one row and one column."""
+    if not rows:
+        raise InputError("matrix must have at least one row")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise InputError("matrix rows have mixed lengths")
+    if not n:
         raise InputError("beta needs a nonempty ground set")
-    return _beta(_rref_int(m.rows), {})
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def beta(rows) -> int:
+    """Crapo beta invariant of the column matroid of a rational matrix;
+    0 when a loop is present (with more than one element), 1 for a single
+    coloop."""
+    return _beta(_rref_int(_matrix(rows)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -165,54 +152,36 @@ def signed_euler_char(z_rows, *, memo=None) -> int:
     with coefficient matrix z (k+1 rows); equals beta of [I | z].
 
     memo, when given, is a beta memo dict shared with other calls, so a
-    caller evaluating many points of one family (`euler_disc`,
-    `generic_euler_char`) reuses the minors they have in common.
+    caller evaluating many points of one family (`euler_disc`) reuses the
+    minors they have in common.
     """
-    if not z_rows:
-        raise InputError("matrix must have at least one row")
-    n = len(z_rows[0])
-    if any(len(row) != n for row in z_rows):
-        raise InputError("matrix rows have mixed lengths")
     k = len(z_rows)
-    full = [[int(i == j) for j in range(k)] + [Fraction(x) for x in row]
-            for i, row in enumerate(z_rows)]
+    full = _matrix([[int(i == j) for j in range(k)] + list(row) for i, row in enumerate(z_rows)])
     return _beta(_rref_int(full), {} if memo is None else memo)
 
 
-def generic_euler_char(family, trials: int = 1, seed: int = 0, retry_budget: int = 200) -> int:
+def generic_euler_char(family, seed: int = 0) -> int:
     """Signed Euler characteristic at generic parameters of a family.
 
-    Samples random rational parameter points, rejects any point where an
-    identically-nonzero minor of the coefficient block vanishes, and checks
-    that all `trials` accepted samples agree.  The family must expose
-    param_names, z_at(values) and all_minors().
+    Samples random rational parameter points until one makes no
+    identically-nonzero minor of the coefficient block vanish, at most 200
+    of them, and returns beta there.  The family must expose param_names,
+    z_at(values) and all_minors().
 
     One accepted point suffices: the maximal minors of [I | z] are, up to
     sign, minors of z and 1, so at every such point the matroid is the one
     whose bases B have m_B not identically zero, and beta is the same.
     """
-    if trials < 1:
-        raise InputError("need at least 1 trial")
     rng = random.Random(seed)
     minors = family.all_minors()
-    memo = {}
-    values = []
-    for _ in range(trials):
-        for _ in range(retry_budget):
-            point = {
-                name: Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
-                for name in family.param_names
-            }
-            if all(m.eval(point) != 0 for m in minors):
-                values.append(signed_euler_char(family.z_at(point), memo=memo))
-                break
-        else:
-            raise HypothesisError(
-                "could not sample a parameter point off the discriminant; "
-                "the family may lie inside its own discriminant"
-            )
-    if len(set(values)) != 1:
-        raise HypothesisError(
-            f"Euler characteristic not stable across samples: {sorted(set(values))}"
-        )
-    return values[0]
+    for _ in range(200):
+        point = {
+            name: Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
+            for name in family.param_names
+        }
+        if all(m.eval(point) != 0 for m in minors):
+            return signed_euler_char(family.z_at(point))
+    raise HypothesisError(
+        "could not sample a parameter point off the discriminant; "
+        "the family may lie inside its own discriminant"
+    )

@@ -138,13 +138,14 @@ def exact_rank(rows):
 
 
 def beta_whitney(m):
-    """Crapo beta of the column matroid of m (a LinearMatroid) by the signed
-    Whitney rank sum over all column subsets, each rank by `exact_rank`."""
+    """Crapo beta of the column matroid of the rational matrix m (a list of
+    rows) by the signed Whitney rank sum over all column subsets, each rank
+    by `exact_rank`."""
 
     def rank(cols):
-        return exact_rank([[row[c] for c in cols] for row in m.rows])
+        return exact_rank([[row[c] for c in cols] for row in m])
 
-    n = m.ncols
+    n = len(m[0])
     total = 0
     for size in range(n + 1):
         for sub in combinations(range(n), size):

@@ -18,7 +18,7 @@ from eulerdisc.lattice import (
     normalized_volume,
     subdiagram_volume,
 )
-from eulerdisc.matroid import LinearMatroid, beta, signed_euler_char
+from eulerdisc.matroid import beta, signed_euler_char
 from eulerdisc.discriminant import (
     ParamFamily,
     degree_check,
@@ -219,7 +219,8 @@ def test_criterion_4_three_site_chain():
         )
         from eulerdisc.matroid import generic_euler_char
 
-        assert generic_euler_char(pattern, trials=2, seed=11) == 30
+        # every accepted point gives the same value
+        assert {generic_euler_char(pattern, seed=s) for s in (11, 12)} == {30}
         assert rep.chi_star == 25
 
 
@@ -322,7 +323,7 @@ def test_criterion_6_property_suites(small_tree_psis):
                 for _ in range(rng.randint(1, 3))
             ]
             width = min(len(r) for r in rows)
-            m = LinearMatroid([r[:width] for r in rows])
+            m = [r[:width] for r in rows]
             assert beta(m) == beta_whitney(m)
 
         # (e) psi denominator factors = facet forms on all trees up to 5

@@ -22,7 +22,7 @@ from eulerdisc.graphs import (
 )
 from eulerdisc.lattice import edge_config
 from eulerdisc.matroid import generic_euler_char, signed_euler_char
-from eulerdisc import discriminant
+from eulerdisc import discriminant, matroid
 from eulerdisc.discriminant import (
     DiscriminantReport,
     ParamFamily,
@@ -201,7 +201,7 @@ class TestWitnessPoint:
         vt = VarTable(["u", "v"])
         # u^2 + v^2 + 1 has no rational (or real) zeros
         delta = parse("u^2 + v^2 + 1", vt)
-        assert witness_point(delta, seed=6, budget=40) is None
+        assert witness_point(delta, seed=6) is None
 
     def test_rejects_constant(self):
         vt = VarTable(["u"])
@@ -284,19 +284,20 @@ class TestSymmetries:
         assert [w for f, _, w, _ in rep.per_factor if f in first] == \
             [w for f, _, w, _ in plain.per_factor if f in first]
 
-    def test_second_seed_only_where_the_first_search_fails(self, monkeypatch):
-        # z1's cubic has no witness within the budget at seed 0, so it alone
-        # is searched again, at seed 1000
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_search_per_factor_at_the_callers_seed(self, monkeypatch, seed):
+        # z1 has no symmetry, so each factor is its own orbit: each is
+        # searched once, at the caller's seed, the cubic with no rational
+        # witness included
         searched = []
         search = discriminant.witness_point
         monkeypatch.setattr(discriminant, "witness_point",
                             lambda delta, *a, **k: searched.append((str(delta), k["seed"]))
                             or search(delta, *a, **k))
-        rep = euler_disc(z1_family(), seed=0)
+        rep = euler_disc(z1_family(), seed=seed)
         cubic = [str(f) for f, e, _, _ in rep.per_factor if e == "unknown"]
         assert len(cubic) == 1
-        expected = [(str(f), 0) for f, _, _, _ in rep.per_factor] + [(cubic[0], 1000)]
-        assert sorted(searched) == sorted(expected)
+        assert sorted(searched) == sorted((str(f), seed) for f, _, _, _ in rep.per_factor)
 
     def test_renaming_that_moves_a_factor_off_the_set_is_not_used(self):
         # w1 <-> w2 does not map the z1 factor set onto itself
@@ -465,38 +466,16 @@ class TestOneWitnessSuffices:
 
 
 class TestChiDrop:
-    def test_on_and_off_factors_two_site(self):
-        fam = ingest_family({
-            "k": 2,
-            "params": ["X1", "X2", "Y12"],
-            "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
-        })
-        rep = euler_disc(fam)
-        factors = list(factor_set(reduced(rep)))
-        rng = random.Random(401)
-        # on each factor: strictly smaller than the generic value
-        for delta in factors:
-            hits = 0
-            seed = 0
-            while hits < 20:
-                seed += 1
-                others = [q for q in factors if q != delta]
-                w = witness_point(delta, avoid=others, seed=rng.randint(0, 10**6))
-                if w is None:
-                    continue
-                hits += 1
-                assert signed_euler_char(fam.z_at(w)) < 4
-        # off the discriminant: exactly the generic value
-        count = 0
-        while count < 20:
-            point = {
-                name: Fraction(rng.randint(1, 9999), rng.randint(1, 9999))
-                for name in fam.param_names
-            }
-            if any(f.eval(point) == 0 for f in factors):
-                continue
-            count += 1
-            assert signed_euler_char(fam.z_at(point)) == 4
+    def test_drop_below_one_raises(self, monkeypatch):
+        # a beta that never drops makes every witness's drop 0, which is
+        # raised, naming the factor, the witness and the drop
+        fam = coefficient_family(GRAPHS["two_site"])
+        delta, _, w, _ = euler_disc(fam, seed=0).per_factor[0]
+        point = ", ".join(f"{k}={v}" for k, v in sorted(w.items()))
+        monkeypatch.setattr(matroid, "signed_euler_char", lambda z, *, memo=None: 4)
+        with pytest.raises(ArithmeticError) as err:
+            euler_disc(fam, seed=0)
+        assert str(err.value) == f"chi drop 0 < 1 for factor {delta} at witness {point}"
 
     def test_scaling_covariance(self):
         e = pad_sparse(two_site_pattern())
@@ -653,12 +632,12 @@ class TestModPScreenOracle:
         # with the screen disabled every avoid check is an exact evaluation
         factors = coprime_basis(family().all_minors())
         screened = [
-            witness_point(d, avoid=[q for q in factors if q is not d], seed=s, budget=60)
+            witness_point(d, avoid=[q for q in factors if q is not d], seed=s)
             for d in factors for s in (0, 1000)
         ]
         monkeypatch.setattr(discriminant, "eval_mod_p", lambda terms, r: 0)
         exact = [
-            witness_point(d, avoid=[q for q in factors if q is not d], seed=s, budget=60)
+            witness_point(d, avoid=[q for q in factors if q is not d], seed=s)
             for d in factors for s in (0, 1000)
         ]
         assert screened == exact
