@@ -208,7 +208,8 @@ def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
 
     For a subgraph (V, E): sum of X_v over V, plus Y_e for edges with one
     endpoint in V, plus 2 Y_e for edges with both endpoints in V that are
-    not in E.  The 0/1 alpha pattern marks V.
+    not in E.  The 0/1 alpha pattern marks V.  Distinct subgraphs give
+    distinct (form, alpha) pairs: alpha fixes V, and the 2 Y_e terms fix E.
     """
     vt = energy_vars(g)
     subs = connected_subgraphs(g, max_vertices, max_edges)
@@ -220,7 +221,6 @@ def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
     )
     ordered = [full] + [s for s in subs if s is not full]
     forms = []
-    seen = set()
     for s in ordered:
         V = set(s.vertices)
         E = set(s.edge_ids)
@@ -234,10 +234,7 @@ def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
             elif inside == 2 and eid not in E:
                 p = p + MultiPoly.var(vt, f"Y{eid}") * 2
         alpha = tuple(1 if v in V else 0 for v in range(1, g.vertex_count + 1))
-        form = LinearForm(p, alpha)
-        if (p, alpha) not in seen:
-            seen.add((p, alpha))
-            forms.append(form)
+        forms.append(LinearForm(p, alpha))
     return forms
 
 

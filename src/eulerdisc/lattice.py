@@ -1,10 +1,16 @@
 """Integer point configurations and exact lattice polytope geometry.
 
 Everything here is exact: volumes are normalized lattice volumes (a basis
-simplex of the reference lattice has volume 1), coordinates are reduced
-with integer row operations only, and one placing triangulation gives
-the volume (the sum of its simplex volumes) and the facets (its boundary
-simplices grouped by supporting hyperplane).
+simplex of the reference lattice has volume 1), and one placing
+triangulation gives the volume (the sum of its simplex volumes) and the
+facets (its boundary simplices grouped by supporting hyperplane).
+
+Every lattice reduction is one incremental Hermite echelon, `_insert`,
+with integer row operations only (Euclid's algorithm on each shared pivot
+column; Cohen, A Course in Computational Algebraic Number Theory, §2.4):
+normalization inserts each difference vector, a rank counts the inserts
+that grew it, and the placing's first simplex takes one insert per
+candidate point.
 """
 
 from __future__ import annotations
@@ -62,48 +68,31 @@ def edge_config(g: PatternGraph) -> PointConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# Integer row reduction (Hermite style)
+# Integer row reduction (Hermite style, by Euclid's algorithm on columns)
 
 
-def _row_reduce(rows):
-    """Integer row echelon basis of the lattice spanned by the rows.
+def _insert(basis, row) -> bool:
+    """Add one integer row to an echelon basis of a lattice, in place.
 
-    Returns (basis, pivots) with basis[i] having its first nonzero entry in
-    column pivots[i], positive, and pivots strictly increasing.
+    `basis` maps each pivot column to the basis row whose first nonzero
+    entry is there.  A row meeting a taken pivot column is combined with
+    that basis row by Euclid's algorithm on the column; the basis keeps
+    the last nonzero remainder, of either sign, and the other row goes on
+    to its next nonzero column.  A row reaching a free column is stored
+    there with its pivot made positive.  Returns whether the rank grew.
     """
-    rows = [list(r) for r in rows if any(r)]
-    basis = []
-    pivots = []
-    for row in rows:
-        row = list(row)
-        while True:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None:
-                break
-            k = next((i for i, p in enumerate(pivots) if p == lead), None)
-            if k is None:
-                if row[lead] < 0:
-                    row = [-x for x in row]
-                pos = next((i for i, p in enumerate(pivots) if p > lead), len(pivots))
-                basis.insert(pos, row)
-                pivots.insert(pos, lead)
-                break
-            b = basis[k]
-            # gcd step in the shared pivot column
-            while row[lead]:
-                q = b[lead] // row[lead]
-                b2 = [x - q * y for x, y in zip(b, row)]
-                basis[k], row = row, b2
-                b = basis[k]
-                lead_new = next((j for j, x in enumerate(row) if x), None)
-                if lead_new != lead:
-                    break
-            lead2 = next((j for j, x in enumerate(row) if x), None)
-            if lead2 == lead:
-                continue
-            if lead2 is None:
-                break
-    return basis, pivots
+    lead = next((j for j, x in enumerate(row) if x), None)
+    while lead is not None:
+        b = basis.get(lead)
+        if b is None:
+            basis[lead] = row if row[lead] > 0 else [-x for x in row]
+            return True
+        while row[lead]:
+            q = b[lead] // row[lead]
+            b, row = row, [x - q * y for x, y in zip(b, row)]
+        basis[lead] = b
+        lead = next((j for j in range(lead + 1, len(row)) if row[j]), None)
+    return False
 
 
 def _solve_lattice(basis, pivots, vec):
@@ -133,14 +122,17 @@ def lattice_normalize(c: PointConfiguration):
         raise InputError("cannot normalize an empty configuration")
     p0 = c.points[0]
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in c.points]
-    basis, pivots = _row_reduce(diffs)
-    d = len(basis)
+    echelon = {}
+    for v in diffs:
+        _insert(echelon, v)
+    pivots = sorted(echelon)
+    basis = [echelon[p] for p in pivots]
     out = []
     for v in diffs:
         coords = _solve_lattice(basis, pivots, v)
         assert coords is not None
         out.append(tuple(coords))
-    return d, out
+    return len(basis), out
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +163,11 @@ def _placing(pts, d):
         return 1, {}
     unique = sorted(set(pts))
     start = [0]
+    echelon = {}
     for i in range(1, len(unique)):
         if len(start) == d + 1:
             break
-        if _rank_of([unique[j] for j in start] + [unique[i]]) == len(start):
+        if _insert(echelon, [a - b for a, b in zip(unique[i], unique[0])]):
             start.append(i)
     if len(start) < d + 1:
         raise InputError("configuration is not full-dimensional")
@@ -269,10 +262,8 @@ def normalized_volume(c: PointConfiguration) -> int:
 def _rank_of(points) -> int:
     if not points:
         return 0
-    p0 = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in points[1:]]
-    basis, _ = _row_reduce(diffs)
-    return len(basis)
+    p0, echelon = points[0], {}
+    return sum(_insert(echelon, [a - b for a, b in zip(p, p0)]) for p in points[1:])
 
 
 def facets(c: PointConfiguration, max_points=None):

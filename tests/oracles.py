@@ -153,17 +153,18 @@ def beta_whitney(m):
     return (-1) ** rank(range(n)) * total
 
 
-def leibniz(m, vars):
-    """The determinant as the signed sum over permutations."""
+def leibniz(m, vars=None):
+    """The determinant as the signed sum over permutations: a MultiPoly over
+    vars, or an int for an integer matrix when vars is None."""
     n = len(m)
-    total = MultiPoly.zero(vars)
+    total = 0 if vars is None else MultiPoly.zero(vars)
     for perm in permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = MultiPoly.const(vars, sign)
+        prod = sign if vars is None else MultiPoly.const(vars, sign)
         for i in range(n):
             prod = prod * m[i][perm[i]]
         total = total + prod

@@ -153,14 +153,24 @@ class TestRecordedReports:
     # [-12, 12]; on the two-site graph the image of each searched witness
     # under the vertex swap is the witness the image factor's own search
     # found, so orbits leave the report as it was.
+    # The pad and polytope records pin the lattice reduction's bases through
+    # the exponents, volumes and f-vectors they print.
     @pytest.mark.parametrize("args, record", [
         (("euler-disc", "z1_family.yaml"), "euler-disc_z1_family.txt"),
         (("euler-disc", "z2_family.yaml"), "euler-disc_z2_family.txt"),
         (("cosmo-disc", "two_site_graph.yaml"), "cosmo-disc_two_site_graph.txt"),
+        *(
+            (("pad", f"{name}.yaml", "--check-degree"), f"pad_{name}.txt")
+            for name in ("artificial", "two_site_pattern", "bubble_graph", "three_site_graph")
+        ),
+        *(
+            (("polytope", f"{name}.yaml"), f"polytope_{name}.txt")
+            for name in ("artificial", "two_site_pattern", "three_site_graph")
+        ),
     ])
     def test_byte_identical_to_record(self, args, record):
-        cmd, name = args
-        r = run_cli(cmd, str(FIXTURES / name))
+        cmd, name, *extra = args
+        r = run_cli(cmd, str(FIXTURES / name), *extra)
         assert r.returncode == 0
         assert r.stdout == (FIXTURES / "reports" / record).read_text()
 

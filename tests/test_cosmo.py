@@ -326,6 +326,22 @@ class TestFacetForms:
         }
         assert str(forms[0].constant) == "X1 + X2"
 
+    @pytest.mark.parametrize("n, pairs", [
+        (2, [(1, 2), (1, 2)]),
+        (3, [(1, 2), (2, 3), (1, 3)]),
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+        (5, [(1, v) for v in range(2, 6)]),
+        (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+        (3, [(1, 2), (1, 2), (2, 3)]),
+        (3, [(1, 2), (1, 2), (2, 3), (1, 3)]),
+    ])
+    def test_one_distinct_form_per_connected_subgraph(self, n, pairs):
+        # alpha fixes V and the 2 Y_e terms fix E, parallel edges included
+        g = CosmoGraph.from_pairs(n, pairs)
+        forms = facet_forms(g)
+        assert len(forms) == len(connected_subgraphs(g))
+        assert len({(f.constant, f.alpha) for f in forms}) == len(forms)
+
     def test_tree_facets_match_wavefunction_denominator(self, tree_psis):
         # for every tree on up to 5 vertices, and the 6-path, the facet
         # constants at alpha-shift zero are exactly the denominator factors

@@ -16,9 +16,7 @@ from eulerdisc.graphs import (
     CosmoGraph,
     PatternGraph,
     automorphisms,
-    condition_star,
     induced,
-    is_connected,
 )
 from eulerdisc.lattice import edge_config
 from eulerdisc.matroid import generic_euler_char, signed_euler_char

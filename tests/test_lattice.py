@@ -6,6 +6,7 @@ hyperplane, and Postnikov's spanning-tree count for bipartite edge
 polytopes.  Face oracles: facet ranks and the Euler relation.
 """
 
+import math
 import random
 from itertools import combinations
 
@@ -23,8 +24,10 @@ from eulerdisc.lattice import (
     lattice_normalize,
     normalized_volume,
     subdiagram_volume,
+    _insert,
+    _solve_lattice,
 )
-from oracles import exact_rank
+from oracles import exact_rank, leibniz
 
 
 def two_site():
@@ -79,6 +82,32 @@ def apply_mat(m, p):
     return tuple(sum(m[i][j] * p[j] for j in range(len(p))) for i in range(len(m)))
 
 
+def echelon(rows):
+    """Basis rows in pivot order and their pivots, from one insert a row."""
+    basis = {}
+    for row in rows:
+        _insert(basis, row)
+    pivots = sorted(basis)
+    return [basis[p] for p in pivots], pivots
+
+
+def minor_gcd(rows, r):
+    """gcd of the r x r minors of an integer matrix, each by `leibniz`."""
+    return math.gcd(*(
+        leibniz([[rows[i][j] for j in J] for i in I])
+        for I in combinations(range(len(rows)), r)
+        for J in combinations(range(len(rows[0])), r)
+    ))
+
+
+@st.composite
+def int_matrices(draw):
+    """Up to 6 x 6 integer matrices; rows repeat and may be zero."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool + [(0,) * n]), min_size=1, max_size=6))
+
+
 class TestConfigBasics:
     def test_validation(self):
         with pytest.raises(InputError):
@@ -106,6 +135,30 @@ class TestNormalize:
         assert d == 2
         assert pts[0] == (0, 0)
         assert sorted(pts) == [(0, 0), (0, 1), (1, 0)] or len(set(pts)) == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_reduction_spans_the_input_lattice(self, rows):
+        # Each input row lies in the lattice of the basis, and the gcds of
+        # their maximal minors agree, so the two lattices are equal.
+        diffs = [tuple(a - b for a, b in zip(p, rows[0])) for p in rows]
+        for vectors in (diffs, rows):
+            basis, pivots = echelon(vectors)
+            r = len(basis)
+            assert r == exact_rank(vectors)
+            for b, p in zip(basis, pivots):
+                assert b[p] and not any(b[:p])
+            for v in vectors:
+                assert _solve_lattice(basis, pivots, v) is not None
+            if r:
+                assert minor_gcd(basis, r) == minor_gcd(vectors, r)
+        # lattice_normalize's coordinates rebuild each p - p0 in that basis
+        basis, _ = echelon(diffs)
+        d, coords = lattice_normalize(PointConfiguration(rows))
+        assert d == len(basis)
+        for v, c in zip(diffs, coords):
+            assert len(c) == d
+            assert tuple(sum(x * b[j] for x, b in zip(c, basis)) for j in range(len(v))) == v
 
     def test_paper_dimensions(self):
         assert lattice_normalize(edge_config(artificial()))[0] == 5
