@@ -5,9 +5,10 @@ pipeline, and emits a report: human-readable lines followed by a
 deterministic JSON block introduced by a `--- structured ---` marker.
 Identical inputs and seeds produce byte-identical reports.
 
-Exit codes: 1 for input and parse errors and for a reader that closes
-the report's pipe early, 2 for hypothesis violations (e.g. a disconnected
-graph) and for usage errors, 3 for size-limit refusals.
+Exit codes: 1 for input and parse errors, for an input file that cannot
+be read or an output file that cannot be opened, and for a reader that
+closes the report's pipe early, 2 for hypothesis violations (e.g. a
+disconnected graph) and for usage errors, 3 for size-limit refusals.
 
 Each command imports its pipeline in its own body, so a call loads only
 the modules it runs, and `--version` and `--help` load none.
@@ -52,7 +53,11 @@ def _emit(human_lines, structured, output):
         return ""
 
     encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
-    with open(output, "w") if output else nullcontext(sys.stdout) as out:
+    try:
+        target = open(output, "w") if output else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc.strerror}")
+    with target as out:
         for line in human_lines:
             out.writelines(line.chunks if isinstance(line, _Chunked) else (line,))
             out.write("\n")
@@ -180,8 +185,7 @@ def beta_cmd(args):
     _emit([f"beta = {value}"], {"command": "beta", "beta": value}, args.output)
 
 
-@_command("polytope", (("--max-points",), dict(
-    type=int, metavar="INTEGER", help="Override the point-count bound for face enumeration.")), _OUTPUT)
+@_command("polytope", _OUTPUT)
 def polytope(args):
     """Dimension, normalized volume, and f-vector of an edge polytope."""
     from .lattice import edge_config, f_vector, normalized_volume
@@ -189,7 +193,7 @@ def polytope(args):
     c = edge_config(_load_pattern(args.input))
     # f_vector gates on dimension and point count before placing anything,
     # so a refused input costs no volume
-    fv = f_vector(c, max_points=args.max_points)
+    fv = f_vector(c)
     d = len(fv)
     vol = normalized_volume(c)
     lines = [f"dimension = {d}", f"volume = {vol}", f"f-vector = {tuple(fv)}"]
@@ -227,14 +231,12 @@ def cosmo_psi(args):
     _emit(lines, structured, args.output)
 
 
-@_command("cosmo-facets", (("--max-vertices",), dict(
-    type=int, default=8, metavar="INTEGER",
-    help="Vertex bound for subgraph enumeration.  [default: %(default)s]")), _OUTPUT)
+@_command("cosmo-facets", _OUTPUT)
 def cosmo_facets(args):
     """Facet hyperplanes of the polytope attached to an energy graph."""
     from .cosmo import facet_forms
 
-    forms = facet_forms(_load_cosmo(args.input), max_vertices=args.max_vertices)
+    forms = facet_forms(_load_cosmo(args.input))
     lines = [f"facets = {len(forms)}"]
     for f in forms:
         lines.append(f"  {f.constant}  alpha={''.join(map(str, f.alpha))}")

@@ -203,7 +203,7 @@ def _add_shift(shift, v, eid):
 # Facet hyperplanes
 
 
-def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
+def facet_forms(g: CosmoGraph):
     """One linear form per connected subgraph, scattering facet first.
 
     For a subgraph (V, E): sum of X_v over V, plus Y_e for edges with one
@@ -212,7 +212,7 @@ def facet_forms(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
     distinct (form, alpha) pairs: alpha fixes V, and the 2 Y_e terms fix E.
     """
     vt = energy_vars(g)
-    subs = connected_subgraphs(g, max_vertices, max_edges)
+    subs = connected_subgraphs(g)
     # scattering facet: the whole graph with all of its edges
     full = next(
         s

@@ -10,7 +10,8 @@ class EulerDiscError(Exception):
 
 
 class InputError(EulerDiscError):
-    """Malformed input text (parse errors carry a position when known)."""
+    """Malformed or unreadable input, or an output file that cannot be
+    opened (parse errors carry a position when known)."""
 
     def __init__(self, message, position=None):
         if position is not None:

@@ -36,6 +36,10 @@ def load_document(path: str) -> dict:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
         raise InputError(f"no such input file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
     except yaml.YAMLError as exc:
         raise InputError(f"invalid YAML in {path}: {exc}")
     if not isinstance(doc, dict):

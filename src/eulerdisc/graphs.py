@@ -91,20 +91,13 @@ class BipartiteSubgraph(NamedTuple):
         return self.left + self.right
 
 
-def _sides(g):
-    if isinstance(g, PatternGraph):
-        return g.left, g.right, g.edges
-    return tuple(g.left), tuple(g.right), g.edges
-
-
 def induced(g: PatternGraph, I, J) -> BipartiteSubgraph:
     """Subgraph induced by I (left) and J (right), keeping isolated vertices."""
     I = tuple(sorted(I))
     J = tuple(sorted(J))
-    left, right, edges = _sides(g)
-    if not set(I) <= set(left) or not set(J) <= set(right):
+    if not set(I) <= set(g.left) or not set(J) <= set(g.right):
         raise InputError("induced subgraph vertices must come from the graph")
-    keep = frozenset(e for e in edges if e[0] in set(I) and e[1] in set(J))
+    keep = frozenset(e for e in g.edges if e[0] in set(I) and e[1] in set(J))
     return BipartiteSubgraph(I, J, keep)
 
 
@@ -130,17 +123,15 @@ def is_connected(g) -> bool:
     if isinstance(g, CosmoGraph):
         vertices, edges = range(1, g.vertex_count + 1), g.edges
     else:
-        left, right, edges = _sides(g)
-        vertices = left + right
+        vertices, edges = g.left + g.right, g.edges
     return not vertices or len(reachable(vertices[0], edges)) == len(vertices)
 
 
 def neighborhood(g, T) -> frozenset:
     """All vertices joined by an edge to some element of T."""
-    _, _, edges = _sides(g)
     T = set(T)
     out = set()
-    for i, j in edges:
+    for i, j in g.edges:
         if i in T:
             out.add(j)
         if j in T:
@@ -160,8 +151,8 @@ def condition_star(g) -> bool:
 
 def star_violation(g):
     """None when the condition holds, else a witness (a bad subset W or ())."""
-    left, right, edges = _sides(g)
-    if len(left) != len(right):
+    left = g.left
+    if len(left) != len(g.right):
         raise InputError("condition requires equal side sizes")
     if len(left) > 12:
         raise SizeLimitError("left side larger than 12")
@@ -272,16 +263,15 @@ class SubgraphSelection(NamedTuple):
     edge_ids: Tuple[str, ...]
 
 
-def connected_subgraphs(g: CosmoGraph, max_vertices: int = 8, max_edges: int = 12):
+def connected_subgraphs(g: CosmoGraph):
     """All connected subgraphs (V, E) with E inside the edges induced on V.
 
     Deterministic order: by |V|, then the sorted vertex tuple, then the
-    sorted edge-id tuple.
+    sorted edge-id tuple.  Refuses a graph of more than 8 vertices or 12
+    edges.
     """
-    if g.vertex_count > max_vertices or len(g.edges) > max_edges:
-        raise SizeLimitError(
-            f"graph exceeds bounds ({max_vertices} vertices / {max_edges} edges)"
-        )
+    if g.vertex_count > 8 or len(g.edges) > 12:
+        raise SizeLimitError("graph exceeds bounds (8 vertices / 12 edges)")
     out = []
     vertices = list(range(1, g.vertex_count + 1))
     for size in range(1, g.vertex_count + 1):

@@ -3,7 +3,8 @@
 Everything here is exact: volumes are normalized lattice volumes (a basis
 simplex of the reference lattice has volume 1), and one placing
 triangulation gives the volume (the sum of its simplex volumes) and the
-facets (its boundary simplices grouped by supporting hyperplane).
+facets (its boundary simplices grouped by supporting hyperplane).  The
+f-vector intersects facets level by level from there, with no rank.
 
 Every lattice reduction is one incremental Hermite echelon, `_insert`,
 with integer row operations only (Euclid's algorithm on each shared pivot
@@ -259,58 +260,61 @@ def normalized_volume(c: PointConfiguration) -> int:
 # Faces
 
 
+def facets(c: PointConfiguration):
+    """Facet supports as tuples of point indices, in a deterministic order."""
+    d, pts = lattice_normalize(c)
+    _check_desk_scale(d, len(set(pts)))
+    return sorted(_hull_facets(pts, d))
+
+
+def _check_desk_scale(d, npts):
+    if d > 8 or npts > 20:
+        raise SizeLimitError(
+            f"face enumeration limited to dimension 8 and 20 points (got d={d}, {npts})"
+        )
+
+
+def f_vector(c: PointConfiguration) -> Tuple[int, ...]:
+    """Counts of proper faces by dimension 0..d-1.
+
+    Each face is identified by the set of configuration points it
+    contains.  Level 0 is the facets, and each next level is the facets
+    of the faces in the one before, so, the face lattice being graded,
+    level k holds the faces of dimension d-1-k and no face is ranked.  The
+    facets of a face F are the inclusion-maximal sets F & G, G a facet,
+    other than F and the empty set: a facet H of F is F & G for any facet
+    G that contains H but not F, and every other such intersection is a
+    proper face of F, so lies in a facet of F (Ziegler, Lectures on
+    Polytopes, §2.2).
+    """
+    d, pts = lattice_normalize(c)
+    _check_desk_scale(d, len(set(pts)))
+    facet_sets = [frozenset(m) for m in _hull_facets(pts, d)]
+    counts = []
+    level = set(facet_sets)
+    while level:
+        counts.append(len(level))
+        below = set()
+        for f in level:
+            kept = []
+            # a set lies only in larger ones, which come first
+            for h in sorted({f & g for g in facet_sets} - {f, frozenset()}, key=len, reverse=True):
+                if not any(h <= k for k in kept):
+                    kept.append(h)
+            below.update(kept)
+        level = below
+    return tuple(reversed(counts))
+
+
+# ---------------------------------------------------------------------------
+# Subdiagram volumes
+
+
 def _rank_of(points) -> int:
     if not points:
         return 0
     p0, echelon = points[0], {}
     return sum(_insert(echelon, [a - b for a, b in zip(p, p0)]) for p in points[1:])
-
-
-def facets(c: PointConfiguration, max_points=None):
-    """Facet supports as tuples of point indices, in a deterministic order."""
-    d, pts = lattice_normalize(c)
-    _check_desk_scale(d, len(set(pts)), max_points)
-    return sorted(_hull_facets(pts, d))
-
-
-def _check_desk_scale(d, npts, max_points=None):
-    limit = 20 if max_points is None else max_points
-    if d > 8 or npts > limit:
-        raise SizeLimitError(
-            f"face enumeration limited to dimension 8 and {limit} points"
-            f" (got d={d}, {npts})"
-        )
-
-
-def f_vector(c: PointConfiguration, max_points=None) -> Tuple[int, ...]:
-    """Counts of proper faces by dimension 0..d-1.
-
-    Proper faces are intersections of facets; each face is identified by
-    the set of configuration points it contains.
-    """
-    d, pts = lattice_normalize(c)
-    _check_desk_scale(d, len(set(pts)), max_points)
-    facet_sets = [frozenset(m) for m in _hull_facets(pts, d)]
-    faces = set(facet_sets)
-    frontier = set(facet_sets)
-    while frontier:
-        new = set()
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h and h not in faces:
-                    new.add(h)
-        faces |= new
-        frontier = new
-    counts = [0] * d
-    for f in faces:
-        dim = _rank_of([pts[i] for i in sorted(f)])
-        counts[dim] += 1
-    return tuple(counts)
-
-
-# ---------------------------------------------------------------------------
-# Subdiagram volumes
 
 
 def subdiagram_volume(g: PatternGraph, h: BipartiteSubgraph) -> int:

@@ -838,7 +838,7 @@ def coprime_basis(ps):
             q = canonical(q)[0]
             if not q.is_constant:
                 work.append(q)
-    return sorted(basis, key=_BasisKey)
+    return sorted(basis, key=_basis_key)
 
 
 def _common_factor(a, a_lin, b, b_lin):
@@ -858,27 +858,10 @@ def _common_factor(a, a_lin, b, b_lin):
     return None if g.is_constant else g
 
 
-class _BasisKey:
+def _basis_key(p: MultiPoly):
     """Sort key of a basis member p: ascending total degree, then
-    descending leading exponent, then the text of p.  The text is printed
-    only to break a tie in the first two, and then once."""
-
-    __slots__ = ("p", "head", "_text")
-
-    def __init__(self, p: MultiPoly):
-        self.p = p
-        self.head = (p.total_degree(), tuple(-x for x in p.leading_exponent()))
-        self._text = None
-
-    def text(self):
-        if self._text is None:
-            self._text = str(self.p)
-        return self._text
-
-    def __lt__(self, other):
-        if self.head != other.head:
-            return self.head < other.head
-        return self.text() < other.text()
+    descending leading exponent, then the text of p."""
+    return (p.total_degree(), tuple(-x for x in p.leading_exponent()), str(p))
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +919,7 @@ class FactoredPolynomial:
             if q in seen:
                 raise ValueError(f"repeated factor {q}")
             seen[q] = int(e)
-        self.factors = tuple(sorted(seen.items(), key=lambda fe: _BasisKey(fe[0])))
+        self.factors = tuple(sorted(seen.items(), key=lambda fe: _basis_key(fe[0])))
 
     def __iter__(self):
         return iter(self.factors)

@@ -4,6 +4,7 @@ library does not need itself."""
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from eulerdisc.lattice import facets
 from eulerdisc.symcore import FactoredPolynomial, MultiPoly, minors, try_div
 
 
@@ -135,6 +136,27 @@ def exact_rank(rows):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def f_vector_by_closure(c):
+    """Face counts of a configuration's hull by dimension 0..d-1: the
+    facets closed under intersection, each face then ranked by its own
+    rational elimination.  Within `lattice.facets`' size gate."""
+    facet_sets = [frozenset(m) for m in facets(c)]
+    faces = set(facet_sets)
+    frontier = faces
+    while frontier:
+        frontier = {f & g for f in frontier for g in facet_sets} - faces - {frozenset()}
+        faces |= frontier
+
+    def dim(members):
+        p0 = c.points[members[0]]
+        return exact_rank([[a - b for a, b in zip(c.points[i], p0)] for i in members])
+
+    counts = [0] * dim(range(len(c.points)))
+    for f in faces:
+        counts[dim(sorted(f))] += 1
+    return tuple(counts)
 
 
 def beta_whitney(m):

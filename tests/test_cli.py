@@ -154,7 +154,8 @@ class TestRecordedReports:
     # under the vertex swap is the witness the image factor's own search
     # found, so orbits leave the report as it was.
     # The pad and polytope records pin the lattice reduction's bases through
-    # the exponents, volumes and f-vectors they print.
+    # the exponents, volumes and f-vectors they print, and the cosmo-facets
+    # records the subgraph enumeration and its order.
     @pytest.mark.parametrize("args, record", [
         (("euler-disc", "z1_family.yaml"), "euler-disc_z1_family.txt"),
         (("euler-disc", "z2_family.yaml"), "euler-disc_z2_family.txt"),
@@ -165,7 +166,11 @@ class TestRecordedReports:
         ),
         *(
             (("polytope", f"{name}.yaml"), f"polytope_{name}.txt")
-            for name in ("artificial", "two_site_pattern", "three_site_graph")
+            for name in ("artificial", "two_site_pattern", "three_site_graph", "bubble_graph")
+        ),
+        *(
+            (("cosmo-facets", f"{name}.yaml"), f"cosmo-facets_{name}.txt")
+            for name in ("bubble_graph", "three_site_graph")
         ),
     ])
     def test_byte_identical_to_record(self, args, record):
@@ -289,6 +294,29 @@ class TestExitCodes:
         r = run_cli("pad", str(FIXTURES / "does_not_exist.yaml"))
         assert r.returncode == 1
 
+    @staticmethod
+    def one_error_line(r):
+        # exit 1 and a single line on stderr, so no traceback
+        assert r.returncode == 1
+        assert r.stdout == ""
+        (line,) = r.stderr.splitlines()
+        return line
+
+    def test_directory_input_is_1(self):
+        r = run_cli("beta", str(FIXTURES))
+        assert self.one_error_line(r) == f"error: cannot read {FIXTURES}: Is a directory"
+
+    def test_non_utf8_input_is_1(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("rows:\n  - [1]  # caf\xe9\n".encode("latin-1"))
+        r = run_cli("beta", str(path))
+        assert self.one_error_line(r).startswith(f"error: cannot read {path}: ")
+
+    def test_unwritable_output_is_1(self, tmp_path):
+        out = tmp_path / "no_such_dir" / "report.txt"
+        r = run_cli("beta", str(FIXTURES / "central_matrix.yaml"), "-o", str(out))
+        assert self.one_error_line(r) == f"error: cannot write {out}: No such file or directory"
+
     def test_wrong_kind_is_1(self):
         r = run_cli("pad", str(FIXTURES / "bad_kind.yaml"))
         assert r.returncode == 1
@@ -405,7 +433,10 @@ class TestCommandLineContract:
 
     def test_unknown_option_is_2(self):
         for args in (("--bogus",), ("pad", str(FIXTURES / "artificial.yaml"), "--bogus"),
-                     ("pad",), ("no-such-command",), ("cosmo-disc", "x.yaml", "--seed", "one")):
+                     ("pad",), ("no-such-command",), ("cosmo-disc", "x.yaml", "--seed", "one"),
+                     # the face and subgraph gates hold fixed bounds
+                     ("polytope", str(FIXTURES / "artificial.yaml"), "--max-points", "32"),
+                     ("cosmo-facets", str(FIXTURES / "two_site_graph.yaml"), "--max-vertices", "9")):
             r = run_cli(*args)
             assert r.returncode == 2, args
             assert r.stdout == ""

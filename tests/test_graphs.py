@@ -223,7 +223,7 @@ class TestCosmoGraph:
     def test_size_limit(self):
         g = CosmoGraph.from_pairs(9, [(i, i + 1) for i in range(1, 9)])
         with pytest.raises(SizeLimitError):
-            connected_subgraphs(g, max_vertices=8)
+            connected_subgraphs(g)
 
 
 def edge_counts(g):

@@ -3,7 +3,8 @@
 Volume oracles: 2-d shoelace area on an independently computed convex
 hull, invariance under unimodular maps, additivity across a splitting
 hyperplane, and Postnikov's spanning-tree count for bipartite edge
-polytopes.  Face oracles: facet ranks and the Euler relation.
+polytopes.  Face oracles: facet ranks, the Euler relation, and the
+closure of the facets under intersection with each face ranked.
 """
 
 import math
@@ -27,7 +28,7 @@ from eulerdisc.lattice import (
     _insert,
     _solve_lattice,
 )
-from oracles import exact_rank, leibniz
+from oracles import exact_rank, f_vector_by_closure, leibniz
 
 
 def two_site():
@@ -261,8 +262,13 @@ class TestFaces:
 
     def test_size_limit(self):
         pts = [(x, y) for x in range(5) for y in range(5)]
-        with pytest.raises(SizeLimitError):
-            f_vector(PointConfiguration(pts))
+        for faces in (f_vector, facets):
+            with pytest.raises(SizeLimitError, match="dimension 8 and 20 points"):
+                faces(PointConfiguration(pts))
+        # the gate counts distinct points: 20 of them, one repeated, pass
+        rect = PointConfiguration(pts[:20] + pts[:1])
+        assert f_vector(rect) == (4, 4)
+        assert len(facets(rect)) == 4
 
     def test_faces_are_disjoint_unions_of_induced_subgraphs(self):
         g = two_site()
@@ -438,15 +444,34 @@ class TestOracles:
         d, pts = config
         c = PointConfiguration(pts)
         assert lattice_normalize(c)[0] == d
-        fs = facets(c, max_points=32)
+        if len(set(pts)) > 20:
+            with pytest.raises(SizeLimitError):
+                facets(c)
+            with pytest.raises(SizeLimitError):
+                f_vector(c)
+            return
+        fs = facets(c)
         for members in fs:
             diffs = [[a - b for a, b in zip(pts[i], pts[members[0]])] for i in members]
             assert exact_rank(diffs) == d - 1
-        fv = f_vector(c, max_points=32)
+        fv = f_vector(c)
         assert fv[d - 1] == len(fs)
         assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
         # reversed coordinates sort the points differently, so the placing
         # visits them in another order
         rev = PointConfiguration([p[::-1] for p in pts])
         assert normalized_volume(rev) == normalized_volume(c)
-        assert facets(rev, max_points=32) == fs
+        assert facets(rev) == fs
+
+    @oracle_settings
+    @given(full_dim_configs().filter(lambda config: len(set(config[1])) <= 20))
+    def test_f_vector_matches_closure_on_configs(self, config):
+        c = PointConfiguration(config[1])
+        assert f_vector(c) == f_vector_by_closure(c)
+
+    @oracle_settings
+    @given(connected_patterns())
+    def test_f_vector_matches_closure_on_edge_polytopes(self, g):
+        # at most 4 x 4: 16 points in dimension at most 6, inside the gate
+        c = edge_config(g)
+        assert f_vector(c) == f_vector_by_closure(c)
