@@ -254,15 +254,14 @@ def coefficient_family(g: CosmoGraph) -> ParamFamily:
 
 def cosmo_pattern(g: CosmoGraph) -> PatternGraph:
     """Bipartite sparsity pattern of the coefficient family: left vertices
-    are the rows 0..n, right vertices the facet columns."""
-    fam = coefficient_family(g)
-    left = fam.k + 1
-    edges = []
-    for i, row in enumerate(fam.entries):
-        for c, p in enumerate(row):
-            if not p.is_zero:
-                edges.append((i, left + c))
-    return PatternGraph(left, fam.ncols, edges)
+    are the rows 0..n, right vertices the facet columns.  Row 0 holds the
+    facet constants, none of them zero, and row v is alpha[v - 1]."""
+    alphas = [f.alpha for f in facet_forms(g)]
+    left = g.vertex_count + 1
+    edges = [(0, left + c) for c in range(len(alphas))]
+    for v in range(g.vertex_count):
+        edges += [(v + 1, left + c) for c, alpha in enumerate(alphas) if alpha[v]]
+    return PatternGraph(left, len(alphas), edges)
 
 
 def cosmo_pad(g: CosmoGraph) -> FactoredPolynomial:
@@ -304,7 +303,7 @@ def cosmo_euler_disc(
     Raises SizeLimitError before any minor is built when the family has
     more than MAX_DISC_PAIRS (I, J) pairs.
     """
-    from .discriminant import euler_disc
+    from .discriminant import DiscriminantReport, euler_disc
 
     fam = coefficient_family(g)
     pairs = _minor_pairs(fam)
@@ -312,11 +311,15 @@ def cosmo_euler_disc(
         raise SizeLimitError(
             f"coefficient family has {pairs} minor pairs (limit {MAX_DISC_PAIRS})"
         )
-    y_names = [f"Y{eid}" for _, _, eid in g.edges]
     symmetries = [
         {**{f"X{v}": f"X{t}" for v, t in vmap.items()},
          **{f"Y{e}": f"Y{t}" for e, t in emap.items()}}
         for vmap, emap in automorphisms(g)
     ]
-    return euler_disc(fam, seed=seed, numerator_vars=y_names,
-                      find_witnesses=find_witnesses, symmetries=symmetries)
+    rep = euler_disc(fam, seed=seed, find_witnesses=find_witnesses, symmetries=symmetries)
+    # the factors are canonical, so a single-Y factor is that Y itself
+    ys = {MultiPoly.var(fam.params, f"Y{eid}") for _, _, eid in g.edges}
+    return DiscriminantReport(rep.chi_star, (
+        (delta, exponent, witness, flags + ("numerator-normalized",) if delta in ys else flags)
+        for delta, exponent, witness, flags in rep.per_factor
+    ))

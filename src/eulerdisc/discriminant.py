@@ -446,9 +446,7 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
 # Euler discriminant
 
 
-def euler_disc(f: ParamFamily, seed: int = 0,
-               numerator_vars: Sequence[str] = (),
-               find_witnesses: bool = True, *,
+def euler_disc(f: ParamFamily, seed: int = 0, find_witnesses: bool = True, *,
                symmetries: Sequence[Mapping[str, str]] = ()) -> DiscriminantReport:
     """Reduced Euler discriminant of a family with multiplicities.
 
@@ -458,8 +456,6 @@ def euler_disc(f: ParamFamily, seed: int = 0,
     a rational witness on that factor's vanishing locus, read at the witness
     one search at seed finds; factors it finds none for report "unknown",
     and a drop below 1 raises ArithmeticError.
-    Factors equal to a variable listed in numerator_vars are flagged as
-    normalized away by the integrand numerator.
 
     The drop is the same at every witness w of delta: a minor vanishes at w
     exactly when delta divides it, so the matroid of [I | z(w)], and its
@@ -499,16 +495,10 @@ def euler_disc(f: ParamFamily, seed: int = 0,
                 for rename, image in images:
                     moved = {rename[name]: v for name, v in witness.items()}
                     found.setdefault(image[idx], (exponent, moved))
-        flags = []
+        flags = ()
         if exponent == "unknown":
-            flags.append(
-                "no-rational-witness" if find_witnesses else "witness-search-disabled"
-            )
-        if len(delta.terms) == 1 and delta.total_degree() == 1:
-            var_idx = next(iter(delta.variables_present()))
-            if f.params.names[var_idx] in numerator_vars:
-                flags.append("numerator-normalized")
-        per_factor.append((delta, exponent, witness, tuple(flags)))
+            flags = ("no-rational-witness" if find_witnesses else "witness-search-disabled",)
+        per_factor.append((delta, exponent, witness, flags))
     return DiscriminantReport(chi_star, per_factor)
 
 

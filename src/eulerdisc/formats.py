@@ -106,15 +106,9 @@ def ingest_family(doc: dict) -> ParamFamily:
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise InputError("entries must be a list of rows")
     vt = VarTable(params)
-    rows = []
-    for i, row in enumerate(entries):
-        out_row = []
-        for j, cell in enumerate(row):
-            try:
-                out_row.append(parse(str(cell), vt))
-            except InputError as exc:
-                raise InputError(f"entries row {i}, column {j}: {exc}")
-        rows.append(out_row)
+    # the substitute block first: each entry is then parsed once, over the
+    # kept variables, with each eliminated name read as its image
+    images = {}
     sub = doc.get("substitute")
     if sub is not None:
         if not isinstance(sub, dict):
@@ -122,18 +116,23 @@ def ingest_family(doc: dict) -> ParamFamily:
         for name in sub:
             if name not in params:
                 raise InputError(f"substitute: unknown variable {name!r}")
-        kept = [p for p in params if p not in sub]
-        if not kept:
+        vt = VarTable([p for p in params if p not in sub])
+        if not len(vt):
             raise InputError("substitute eliminates every variable")
-        vt2 = VarTable(kept)
-        repl = {}
         for name, expr in sub.items():
             try:
-                repl[name] = parse(str(expr), vt2)
+                images[name] = parse(str(expr), vt)
             except InputError as exc:
                 raise InputError(f"substitute entry {name!r}: {exc}")
-        rows = [[p.subs(repl) for p in row] for row in rows]
-        vt = vt2
+    rows = []
+    for i, row in enumerate(entries):
+        out_row = []
+        for j, cell in enumerate(row):
+            try:
+                out_row.append(parse(str(cell), vt, images))
+            except InputError as exc:
+                raise InputError(f"entries row {i}, column {j}: {exc}")
+        rows.append(out_row)
     return ParamFamily(k, vt, rows)
 
 

@@ -236,20 +236,6 @@ def _placing(pts, d):
     return volume, boundary
 
 
-def _hull_facets(pts, d):
-    """Facets of a full-dimensional hull, each as the tuple of indices of
-    the points of `pts` on its supporting hyperplane."""
-    _, boundary = _placing(pts, d)
-    return [
-        tuple(
-            i
-            for i, p in enumerate(pts)
-            if sum(a * b for a, b in zip(normal, p)) == offset
-        )
-        for normal, offset in dict.fromkeys(side[:2] for side in boundary.values())
-    ]
-
-
 def normalized_volume(c: PointConfiguration) -> int:
     """Lattice volume of the hull, measured in its own difference lattice."""
     d, pts = lattice_normalize(c)
@@ -261,10 +247,16 @@ def normalized_volume(c: PointConfiguration) -> int:
 
 
 def facets(c: PointConfiguration):
-    """Facet supports as tuples of point indices, in a deterministic order."""
+    """Facet supports as tuples of point indices, in a deterministic order:
+    each holds the points on one supporting hyperplane of the placing's
+    boundary."""
     d, pts = lattice_normalize(c)
     _check_desk_scale(d, len(set(pts)))
-    return sorted(_hull_facets(pts, d))
+    _, boundary = _placing(pts, d)
+    return sorted(
+        tuple(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(normal, p)) == offset)
+        for normal, offset in dict.fromkeys(side[:2] for side in boundary.values())
+    )
 
 
 def _check_desk_scale(d, npts):
@@ -287,9 +279,7 @@ def f_vector(c: PointConfiguration) -> Tuple[int, ...]:
     proper face of F, so lies in a facet of F (Ziegler, Lectures on
     Polytopes, §2.2).
     """
-    d, pts = lattice_normalize(c)
-    _check_desk_scale(d, len(set(pts)))
-    facet_sets = [frozenset(m) for m in _hull_facets(pts, d)]
+    facet_sets = [frozenset(m) for m in facets(c)]
     counts = []
     level = set(facet_sets)
     while level:

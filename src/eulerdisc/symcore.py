@@ -329,29 +329,6 @@ class MultiPoly:
             total += c
         return total if den == 1 else Fraction(total, den)
 
-    def subs(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables (unmapped names map to themselves)."""
-        vt = None
-        for img in images.values():
-            vt = img.vars
-            break
-        if vt is None:
-            return self
-        imgs = []
-        for name in self.vars.names:
-            if name in images:
-                imgs.append(images[name])
-            else:
-                imgs.append(MultiPoly.var(vt, name))
-        total = MultiPoly.zero(vt)
-        for e, c in self.terms.items():
-            m = MultiPoly.const(vt, c)
-            for img, p in zip(imgs, e):
-                if p:
-                    m = m * img**p
-            total = total + m
-        return total
-
     # -- printing -------------------------------------------------------
 
     def _keys(self):
@@ -508,9 +485,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, vars):
+    def __init__(self, text, vars, images):
         self.tokens = _tokenize(text)
         self.vars = vars
+        self.images = images or {}
         self.i = 0
 
     def peek(self):
@@ -568,6 +546,8 @@ class _Parser:
         if kind == "int":
             return MultiPoly.const(self.vars, val)
         if kind == "name":
+            if val in self.images:
+                return self.images[val]
             if val not in self.vars:
                 raise InputError(f"unknown variable {val!r}", pos)
             return MultiPoly.var(self.vars, val)
@@ -580,9 +560,13 @@ class _Parser:
         raise InputError("expected a number, variable or parenthesis", pos)
 
 
-def parse(text: str, vars: VarTable) -> MultiPoly:
-    """Parse an expression built from +, -, *, ^, parentheses and integers."""
-    p = _Parser(text, vars)
+def parse(text: str, vars: VarTable,
+          images: Mapping[str, MultiPoly] | None = None) -> MultiPoly:
+    """Parse an expression built from +, -, *, ^, parentheses and integers.
+
+    A name in images stands for its image, a polynomial over vars, so an
+    eliminated variable is substituted as the text is read."""
+    p = _Parser(text, vars, images)
     result = p.parse_expr()
     kind, _, pos = p.peek()
     if kind != "end":

@@ -50,6 +50,24 @@ def expand(f, vars=None):
     return out
 
 
+def subs(p, images):
+    """p with each name in images replaced by its image, term by term;
+    the images share one VarTable, and every other name of p must be in
+    it.  With no images, p itself."""
+    if not images:
+        return p
+    vt = next(iter(images.values())).vars
+    imgs = [images[name] if name in images else MultiPoly.var(vt, name) for name in p.vars.names]
+    total = MultiPoly.zero(vt)
+    for e, c in p.terms.items():
+        m = MultiPoly.const(vt, c)
+        for img, k in zip(imgs, e):
+            if k:
+                m = m * img**k
+        total = total + m
+    return total
+
+
 def poly_str(p):
     """MultiPoly's printed form, built term by term: graded lex order,
     highest first, each term its coefficient (dropped when 1) and its

@@ -536,7 +536,10 @@ class TestImportFootprint:
          {"eulerdisc.discriminant", "eulerdisc.lattice", "eulerdisc.kernels", "eulerdisc.matroid"}),
         (("cosmo-facets", "bubble_graph.yaml"), "eulerdisc.cosmo",
          {"eulerdisc.discriminant", "eulerdisc.lattice", "eulerdisc.kernels", "eulerdisc.matroid"}),
-    ], ids=["pad", "polytope", "euler-disc", "cosmo-disc", "cosmo-psi", "cosmo-facets"])
+        (("polytope", "three_site_graph.yaml"), "eulerdisc.lattice",
+         {"eulerdisc.discriminant", "eulerdisc.matroid"}),
+    ], ids=["pad", "polytope", "euler-disc", "cosmo-disc", "cosmo-psi", "cosmo-facets",
+            "polytope-energy-graph"])
     def test_command_loads_only_its_pipeline(self, args, runs, absent):
         command, name = args
         loaded = self.modules(command, str(FIXTURES / name))

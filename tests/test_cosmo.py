@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, SizeLimitError
-from eulerdisc.graphs import CosmoGraph, connected_subgraphs
+from eulerdisc.graphs import CosmoGraph, PatternGraph, connected_subgraphs
 import eulerdisc.cosmo as cosmo
 from eulerdisc.cosmo import (
     coefficient_family,
@@ -37,7 +37,7 @@ from eulerdisc.matroid import signed_euler_char
 import eulerdisc.symcore as symcore
 from eulerdisc.symcore import MultiPoly, _mul_into, canonical, parse
 from conftest import all_trees
-from oracles import poly_str, psi_value, with_multiplicity
+from oracles import poly_str, psi_value, subs, with_multiplicity
 
 
 def two_site():
@@ -547,6 +547,28 @@ class TestCoefficientFamily:
         assert (1, 5) not in g.edges and (2, 4) not in g.edges
         assert len(g.edges) == 7
 
+    @pytest.mark.parametrize("g", [
+        two_site(), three_site(), bubble(),
+        CosmoGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)]),
+        CosmoGraph.from_pairs(4, [(1, 2), (1, 3), (1, 4)]),
+        CosmoGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    ], ids=["two_site", "three_site", "bubble", "triangle", "star4", "cycle4"])
+    def test_pattern_is_the_family_support(self, g, monkeypatch):
+        from eulerdisc.discriminant import ParamFamily
+
+        fam = coefficient_family(g)
+        left = fam.k + 1
+        support = PatternGraph(left, fam.ncols, [
+            (i, left + c) for i, row in enumerate(fam.entries) for c, p in enumerate(row) if not p.is_zero
+        ])
+
+        def barred(*args):
+            raise AssertionError("cosmo_pattern built a ParamFamily")
+
+        # the pattern comes from the facet forms' alphas, with no family
+        monkeypatch.setattr(ParamFamily, "__init__", barred)
+        assert cosmo_pattern(g) == support
+
     def test_three_site_pattern_sparsity(self):
         g = cosmo_pattern(three_site())
         assert g.left_size == 4 and g.right_size == 6
@@ -767,6 +789,6 @@ class TestRelabelling:
         assert rep_g.chi_star == rep_h.chi_star
         vt_h = energy_vars(h)
         images = {name: MultiPoly.var(vt_h, rename[name]) for name in energy_vars(g).names}
-        moved = {canonical(f.subs(images))[0]: e for f, e, _, _ in rep_g.per_factor}
+        moved = {canonical(subs(f, images))[0]: e for f, e, _, _ in rep_g.per_factor}
         assert moved == {f: e for f, e, _, _ in rep_h.per_factor}
         assert not rep_g.has_unknown

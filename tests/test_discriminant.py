@@ -52,6 +52,7 @@ from oracles import (
     leibniz_minors,
     reduced,
     saturating_matching,
+    subs,
     with_multiplicity,
 )
 
@@ -81,7 +82,7 @@ def z2_family():
     fam = z1_family()
     vt2 = VarTable(["w1", "w2"])
     sub = {"w3": parse("-w1-w2", vt2)}
-    entries = [[p.subs(sub) for p in row] for row in fam.entries]
+    entries = [[subs(p, sub) for p in row] for row in fam.entries]
     return ParamFamily(2, vt2, entries)
 
 
@@ -269,7 +270,7 @@ class TestSymmetries:
         vt = fam.params
         factors = [f for f, _, _, _ in plain.per_factor]
         orbits = {
-            frozenset(canonical(f.subs({x: MultiPoly.var(vt, r[x]) for x in vt.names}))[0]
+            frozenset(canonical(subs(f, {x: MultiPoly.var(vt, r[x]) for x in vt.names}))[0]
                       for r in renamings)
             for f in factors
         }
@@ -316,7 +317,11 @@ class TestEulerDisc:
             "params": ["X1", "X2", "Y12"],
             "entries": [["X1+X2", "X1+Y12", "X2+Y12"], ["1", "1", "0"], ["1", "0", "1"]],
         })
-        rep = euler_disc(fam, numerator_vars=["Y12"])
+        plain = euler_disc(fam)
+        # the same family, with the numerator flag that only cosmo sets
+        rep = cosmo_euler_disc(CosmoGraph.from_pairs(2, [(1, 2)]))
+        assert [(f, e) for f, e, _, _ in rep.per_factor] == [(f, e) for f, e, _, _ in plain.per_factor]
+        assert not any(flags for _, _, _, flags in plain.per_factor)
         assert rep.chi_star == 4
         vt = fam.params
         expected = {
@@ -374,7 +379,7 @@ class TestEulerDisc:
         rep = euler_disc(fam)
         dense = pad_dense(1, 3)
         rename = {f"z{i}{j}": parse(f"a{i}{j - 2}", vt) for i in range(2) for j in (2, 3)}
-        expected = {str(p.subs(rename)) for p in factor_set(dense)}
+        expected = {str(subs(p, rename)) for p in factor_set(dense)}
         assert {str(f) for f in factor_set(reduced(rep))} == expected
 
     def test_central_family_rejected(self):

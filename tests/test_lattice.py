@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerdisc.errors import HypothesisError, InputError, SizeLimitError
@@ -419,6 +419,15 @@ def full_dim_configs(draw):
     return d, draw(st.permutations(pts))
 
 
+# The strategy above rarely passes the face gate's 20 distinct points, so
+# these examples put one configuration on each side of it: 21 distinct
+# points in dimension 5, and 20 of them with two repeated.
+PAST_GATE = (5, [(0,) * 5] + [unit(5, i, k) for k in (1, 2) for i in range(5)] + [(-1,) * 5]
+             + [tuple(int(j in ij) for j in range(5)) for ij in list(combinations(range(5), 2))[:9]]
+             + [unit(5, 0), (-1,) * 5])
+AT_GATE = (5, PAST_GATE[1][:20] + PAST_GATE[1][:2])
+
+
 class TestOracles:
     @oracle_settings
     @given(connected_patterns())
@@ -440,6 +449,8 @@ class TestOracles:
 
     @oracle_settings
     @given(full_dim_configs())
+    @example(PAST_GATE)
+    @example(AT_GATE)
     def test_facets_f_vector_and_placing_order(self, config):
         d, pts = config
         c = PointConfiguration(pts)
@@ -464,9 +475,17 @@ class TestOracles:
         assert facets(rev) == fs
 
     @oracle_settings
-    @given(full_dim_configs().filter(lambda config: len(set(config[1])) <= 20))
+    @given(full_dim_configs())
+    @example(PAST_GATE)
+    @example(AT_GATE)
     def test_f_vector_matches_closure_on_configs(self, config):
         c = PointConfiguration(config[1])
+        if len(set(config[1])) > 20:
+            # both read `facets`, so both stop at its gate
+            for faces in (f_vector, f_vector_by_closure):
+                with pytest.raises(SizeLimitError, match="dimension 8 and 20 points"):
+                    faces(c)
+            return
         assert f_vector(c) == f_vector_by_closure(c)
 
     @oracle_settings

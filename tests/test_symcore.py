@@ -42,6 +42,7 @@ from oracles import (
     first_nonzero,
     leibniz_minors,
     poly_str,
+    subs,
 )
 
 VT = VarTable(["x", "y", "z"])
@@ -105,13 +106,35 @@ class TestRingAxioms:
                 "y": rand_poly(rng, vt2, max_terms=3, max_deg=2),
                 "z": rand_poly(rng, vt2, max_terms=3, max_deg=2),
             }
-            q = p.subs(images)
+            q = subs(p, images)
             pt = rand_point(rng, vt2)
             expected = p.eval({name: images[name].eval(pt) for name in VT.names})
             assert q.eval(pt) == expected
 
 
+def expressions(names):
+    """Expression texts over names: integers and names, joined by + and -,
+    products, powers up to 3, parentheses and unary minus."""
+    leaves = st.integers(0, 9).map(str) | st.sampled_from(names)
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(["+", "-", "*"]), sub).map(" ".join),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        sub.map(lambda t: f"({t})"),
+        sub.map(lambda t: f"-{t}"),
+    ), max_leaves=6)
+
+
 class TestParsePrint:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_images_match_substituting_after(self, data):
+        names = ["a", "b", "c", "d"]
+        gone = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+        kept = VarTable([n for n in names if n not in gone])
+        images = {n: parse(data.draw(expressions(kept.names)), kept) for n in gone}
+        text = data.draw(expressions(names))
+        assert parse(text, kept, images) == subs(parse(text, VarTable(names)), images)
+
     def test_round_trip_random(self):
         rng = random.Random(21)
         count = 0
