@@ -388,7 +388,9 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
 
     Tries solving for a variable of degree 1 first, then a rational-root
     search on random univariate slices.  Returns a name -> Fraction map, or
-    None when 600 attempts find none.  screens, when given, holds the
+    None when 600 attempts find none.  A candidate root at which delta does
+    not vanish is an internal fault: it raises ArithmeticError, naming
+    delta and the point.  screens, when given, holds the
     `residue_terms` of each avoid polynomial, so a caller that searches
     many witnesses against one set builds them once.
 
@@ -435,8 +437,10 @@ def witness_point(delta: MultiPoly, avoid: Sequence[MultiPoly] = (), seed: int =
         for root in candidates:
             point = dict(values)
             point[v] = root
+            # each candidate is a root of delta's slice, so delta vanishes
             if delta.eval(point) != 0:
-                continue
+                coords = ", ".join(f"{k}={x}" for k, x in sorted(point.items()))
+                raise ArithmeticError(f"witness candidate for {delta} is not a root: {coords}")
             if _avoids_all(avoid, screens, point, names):
                 return point
     return None

@@ -43,6 +43,13 @@ class PatternGraph:
         for i, j in edges:
             if not (0 <= i < L and L <= j < L + right_size):
                 raise InputError(f"edge ({i}, {j}) out of range")
+        # E edges cover at most 2E vertices: refuse a larger declared size
+        # before building a set of that size
+        if L + right_size > 2 * len(edges):
+            raise InputError(
+                f"isolated vertices not allowed: {L + right_size} vertices, "
+                f"but {len(edges)} edges cover at most {2 * len(edges)}"
+            )
         covered = {v for e in edges for v in e}
         missing = set(range(L + right_size)) - covered
         if missing:

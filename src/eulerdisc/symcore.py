@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -941,7 +941,7 @@ class FactoredPolynomial:
         return f"FactoredPolynomial({self})"
 
 
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Numerator polynomial over a factored denominator, stored as given.
 
     No common factor is cancelled: num / den is the same rational function
@@ -949,21 +949,8 @@ class RationalFunction:
     (as `cosmo.wavefunction` does).
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: FactoredPolynomial):
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
+    num: MultiPoly
+    den: FactoredPolynomial
 
     def __str__(self):
         return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"

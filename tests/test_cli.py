@@ -317,6 +317,29 @@ class TestExitCodes:
         r = run_cli("beta", str(FIXTURES / "central_matrix.yaml"), "-o", str(out))
         assert self.one_error_line(r) == f"error: cannot write {out}: No such file or directory"
 
+    def test_huge_declared_pattern_is_1_under_memory_limit(self, tmp_path):
+        # one edge cannot cover 100,000,001 declared vertices: under a 600 MB
+        # address-space limit the pattern is refused before anything of
+        # that size is allocated, never with MemoryError
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+        huge = tmp_path / "huge.yaml"
+        huge.write_text("left: 100000000\nright: 1\nedges: [[0, 100000000]]\n")
+        r = subprocess.run(
+            [sys.executable, "-m", "eulerdisc.cli", "pad", str(huge)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=ENV,
+            preexec_fn=limit,
+        )
+        assert self.one_error_line(r) == (
+            "error: isolated vertices not allowed: 100000001 vertices, but 1 edges cover at most 2"
+        )
+
     def test_wrong_kind_is_1(self):
         r = run_cli("pad", str(FIXTURES / "bad_kind.yaml"))
         assert r.returncode == 1

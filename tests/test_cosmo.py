@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -28,8 +29,6 @@ from eulerdisc.cosmo import (
     MAX_PSI_TERMS,
     _level_sum,
     _minor_pairs,
-    _psi_term_bound,
-    _psi_width,
     facet_forms,
     wavefunction,
 )
@@ -133,6 +132,16 @@ def star5_psi():
     return wavefunction(star5())
 
 
+def term_bound(g):
+    """The numerator term bound that `wavefunction` gates on, read from the
+    refusal it raises, before building anything, under a limit of 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosmo, "MAX_PSI_TERMS", 0)
+        with pytest.raises(SizeLimitError) as exc:
+            wavefunction(g)
+    return int(re.search(r"may have (\d+) terms", str(exc.value)).group(1))
+
+
 def random_tree(rng, n):
     edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
     return CosmoGraph.from_pairs(n, edges)
@@ -197,13 +206,12 @@ class TestWavefunction:
         caterpillar6 = CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (2, 5), (3, 6)])
         spur6b = CosmoGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
         for g, bound in ((star6, 254_186_856), (caterpillar6, 8_436_285), (spur6b, 1_961_256)):
-            assert _psi_term_bound(g) == bound
             with pytest.raises(SizeLimitError, match=f"{bound} terms"):
                 wavefunction(g)
 
     def test_term_bound_admits_path6(self):
         path6 = CosmoGraph.from_pairs(6, [(v, v + 1) for v in range(1, 6)])
-        assert _psi_term_bound(path6) == 184_756 <= MAX_PSI_TERMS
+        assert term_bound(path6) == 184_756 <= MAX_PSI_TERMS
 
     def test_specialization_oracle(self):
         # check the symbolic three-site answer against a direct numeric
@@ -244,6 +252,19 @@ class TestWavefunction:
                 for name in psi.num.vars.names
             }
             assert psi_at(psi, point) == psi_value(g, point)
+
+    def test_enumerates_the_tubes_once(self, monkeypatch):
+        # one list of tubes gives the gate, the key width, every tube form
+        # and the order in which the coefficients are built
+        calls = []
+
+        def spy(g):
+            calls.append(g)
+            return connected_subgraphs(g)
+
+        monkeypatch.setattr(cosmo, "connected_subgraphs", spy)
+        wavefunction(path6())
+        assert len(calls) == 1
 
     def test_leaves_no_cyclic_garbage(self):
         # the recursion's memo, and every subtree numerator in it, is freed
@@ -352,7 +373,7 @@ class TestFacetForms:
             den = {p for p, _ in psi.den.as_pairs()}
             facets = {str(f.constant) for f in facet_forms(g)}
             assert den == facets
-            assert len(psi.num.terms) <= _psi_term_bound(g) <= MAX_PSI_TERMS
+            assert len(psi.num.terms) <= term_bound(g) <= MAX_PSI_TERMS
             point = {name: rng.randint(1, 50) for name in psi.num.vars.names}
             assert psi_at(psi, point) == psi_value(g, point)
             if g.vertex_count <= 5:
@@ -364,7 +385,7 @@ class TestFacetForms:
         # of degree 3 with two leaf neighbours); each numerator is
         # homogeneous of degree T - (2n - 1), which the width derived from
         # T holds
-        admitted6 = [g for g in all_trees(6) if _psi_term_bound(g) <= MAX_PSI_TERMS]
+        admitted6 = [g for g in all_trees(6) if term_bound(g) <= MAX_PSI_TERMS]
         assert len(admitted6) == 720
         shapes = Counter()
         for g in admitted6:
@@ -380,7 +401,7 @@ class TestFacetForms:
             n = g.vertex_count
             degree = len(connected_subgraphs(g)) - (2 * n - 1)
             assert {sum(e) for e in psi.num.terms} == {degree}
-            assert degree < 256 ** _psi_width(g)
+            assert degree < 256 ** psi.num._keys()[0]
 
     def test_size_limits(self):
         path9 = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])
@@ -512,7 +533,7 @@ class TestPsiRegression:
 
     def test_spur6_recorded_text(self):
         # the largest tree the term limit admits: 1,041,532 terms
-        assert _psi_term_bound(spur6()) == 1_144_066 <= MAX_PSI_TERMS
+        assert term_bound(spur6()) == 1_144_066 <= MAX_PSI_TERMS
         text = str(wavefunction(spur6()))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256["spur6"]
 

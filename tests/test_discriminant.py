@@ -202,6 +202,16 @@ class TestWitnessPoint:
         delta = parse("u^2 + v^2 + 1", vt)
         assert witness_point(delta, seed=6) is None
 
+    def test_non_root_candidate_raises(self, monkeypatch):
+        # x^2 + y^2 - 1 has no linear variable, so every candidate comes
+        # from the rational-root search; one at which delta does not
+        # vanish is an internal fault, not a miss to skip
+        vt = VarTable(["x", "y"])
+        delta = parse("x^2 + y^2 - 1", vt)
+        monkeypatch.setattr(discriminant, "_rational_roots", lambda coeffs: [Fraction(7)])
+        with pytest.raises(ArithmeticError, match=r"for x\^2 \+ y\^2 - 1 is not a root: x=7, y="):
+            witness_point(delta, seed=0)
+
     def test_rejects_constant(self):
         vt = VarTable(["u"])
         with pytest.raises(InputError):
