@@ -15,7 +15,7 @@ _SUBMODULES = {
     "errors": ("EulerDiscError", "HypothesisError", "InputError", "SizeLimitError"),
     "graphs": ("BipartiteSubgraph", "CosmoGraph", "PatternGraph"),
     "lattice": ("edge_config", "f_vector", "facets", "normalized_volume", "subdiagram_volume"),
-    "matroid": ("beta", "generic_euler_char", "signed_euler_char"),
+    "matroid": ("beta", "signed_euler_char"),
 }
 _ORIGIN = {name: module for module, names in _SUBMODULES.items() for name in names}
 

@@ -127,7 +127,7 @@ class ParamFamily:
     the entries vary with the parameters.
     """
 
-    __slots__ = ("k", "params", "entries", "_minors")
+    __slots__ = ("k", "params", "entries")
 
     def __init__(self, k: int, params: VarTable, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -145,15 +145,10 @@ class ParamFamily:
         self.k = k
         self.params = params
         self.entries = entries
-        self._minors = None
 
     @property
     def ncols(self) -> int:
         return len(self.entries[0])
-
-    @property
-    def param_names(self):
-        return self.params.names
 
     def z_at(self, point):
         """Numeric coefficient block at a parameter point (name -> value)."""
@@ -164,29 +159,26 @@ class ParamFamily:
     def all_minors(self):
         """Distinct minors det(z_{I,J}) of the block over all |I| = |J| >= 1,
         each once, in the order of its first (size, I, J), with the
-        identically-zero ones dropped; cached.
+        identically-zero ones dropped.
 
         A block with at most one non-constant row, such as every cosmo
         family, goes through `_one_row_minors`.  Any other block goes
         through one `symcore.minors`, which expands each minor over the
         minors one size smaller."""
-        if self._minors is None:
-            symbolic = [i for i, row in enumerate(self.entries)
-                        if not all(p.is_constant for p in row)]
-            if len(symbolic) <= 1:
-                self._minors = _one_row_minors(self.entries, symbolic[0] if symbolic else 0)
-            else:
-                minor = minors(self.entries)
-                out = {}
-                nr, nc = self.k + 1, self.ncols
-                for size in range(1, min(nr, nc) + 1):
-                    for I in combinations(range(nr), size):
-                        for J in combinations(range(nc), size):
-                            m = minor(I, J)
-                            if not m.is_zero:
-                                out[m] = None
-                self._minors = list(out)
-        return self._minors
+        symbolic = [i for i, row in enumerate(self.entries)
+                    if not all(p.is_constant for p in row)]
+        if len(symbolic) <= 1:
+            return _one_row_minors(self.entries, symbolic[0] if symbolic else 0)
+        minor = minors(self.entries)
+        out = {}
+        nr, nc = self.k + 1, self.ncols
+        for size in range(1, min(nr, nc) + 1):
+            for I in combinations(range(nr), size):
+                for J in combinations(range(nc), size):
+                    m = minor(I, J)
+                    if not m.is_zero:
+                        out[m] = None
+        return list(out)
 
 
 def _one_row_minors(entries, r):
@@ -461,9 +453,12 @@ def euler_disc(f: ParamFamily, seed: int = 0, find_witnesses: bool = True, *,
     one search at seed finds; factors it finds none for report "unknown",
     and a drop below 1 raises ArithmeticError.
 
-    The drop is the same at every witness w of delta: a minor vanishes at w
-    exactly when delta divides it, so the matroid of [I | z(w)], and its
-    beta, does not depend on w.
+    chi* is beta at the first of at most 200 points drawn at seed where no
+    basis factor vanishes.  Every nonzero minor is a constant times a
+    product of basis factors, each dividing some minor, so the minors that
+    vanish are the same at all such points, and at all witnesses of delta
+    (the minors delta divides).  So is the matroid of [I | z], whose bases
+    are read off its maximal minors: up to sign, 1 and the minors of z.
 
     symmetries, when given, are renamings of the parameters (name -> name,
     a permutation) under which the block is the same up to permuting its
@@ -474,18 +469,29 @@ def euler_disc(f: ParamFamily, seed: int = 0, find_witnesses: bool = True, *,
     beta then run once per orbit, on its first factor.  A renaming that
     does not map the factor set onto itself is not used.
     """
-    from .matroid import generic_euler_char
+    from .matroid import signed_euler_char
 
     minors = f.all_minors()
     if not minors:
         raise HypothesisError("every minor of the family vanishes identically")
-    chi_star = generic_euler_char(f, seed=seed)
+    factors = coprime_basis(minors)
+    screens = [residue_terms(q) for q in factors]
+    names = f.params.names
+    rng = random.Random(seed)
+    for _ in range(200):
+        point = {name: Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4)) for name in names}
+        if _avoids_all(factors, screens, point, names):
+            break
+    else:
+        raise HypothesisError(
+            "could not sample a parameter point off the discriminant; "
+            "the family may lie inside its own discriminant"
+        )
+    chi_star = signed_euler_char(f.z_at(point))
     if chi_star <= 0:
         raise HypothesisError("generic Euler characteristic is zero")
-    factors = coprime_basis(minors)
     images = _factor_images(factors, f.params, symmetries)
     memo = {}  # beta memo shared by every witness point of this call
-    screens = [residue_terms(q) for q in factors]
     found = {}  # factor index -> (exponent, witness) from an orbit's first factor
     per_factor = []
     for idx, delta in enumerate(factors):

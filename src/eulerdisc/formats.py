@@ -137,6 +137,8 @@ def ingest_family(doc: dict) -> ParamFamily:
 
 
 def ingest_matrix(doc: dict) -> List[List[Fraction]]:
+    """The rows as Fractions.  A cell in exponent notation is refused:
+    Fraction expands "1e999999999" to all its digits."""
     rows = doc["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("rows must be a list of lists of rationals")
@@ -144,8 +146,11 @@ def ingest_matrix(doc: dict) -> List[List[Fraction]]:
     for i, row in enumerate(rows):
         cells = []
         for j, cell in enumerate(row):
+            text = str(cell)
             try:
-                cells.append(Fraction(str(cell)))
+                if "e" in text.lower():
+                    raise ValueError(text)
+                cells.append(Fraction(text))
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"rows row {i}, column {j}: bad rational {cell!r}")
         out.append(cells)

@@ -3,8 +3,10 @@
 The signed Euler characteristic of a hyperplane arrangement complement is
 computed combinatorially as the Crapo beta invariant of the column matroid
 of the coefficient matrix prefixed with an identity block; no topology is
-involved.  `beta` and `signed_euler_char` take the matrix as rows of
-rationals and check its shape in one place, `_matrix`.  Beta runs by
+involved.  The module takes numeric matrices only; `euler_disc` picks a
+family's parameter points and passes the matrices there.  `beta` and
+`signed_euler_char` take the matrix as rows of rationals and check its
+shape in one place, `_matrix`.  Beta runs by
 deletion-contraction on integer matrices in a canonical RREF, reduced
 fraction-free with each row primitive and its pivot positive: a fixed
 rescaling of the unique RREF, hence a sound memo key.  Minors of rank 1
@@ -15,16 +17,14 @@ shares one across its witness points); nothing is cached between calls.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import HypothesisError, InputError
+from .errors import InputError
 
 __all__ = [
     "beta",
     "signed_euler_char",
-    "generic_euler_char",
 ]
 
 
@@ -158,30 +158,3 @@ def signed_euler_char(z_rows, *, memo=None) -> int:
     k = len(z_rows)
     full = _matrix([[int(i == j) for j in range(k)] + list(row) for i, row in enumerate(z_rows)])
     return _beta(_rref_int(full), {} if memo is None else memo)
-
-
-def generic_euler_char(family, seed: int = 0) -> int:
-    """Signed Euler characteristic at generic parameters of a family.
-
-    Samples random rational parameter points until one makes no
-    identically-nonzero minor of the coefficient block vanish, at most 200
-    of them, and returns beta there.  The family must expose param_names,
-    z_at(values) and all_minors().
-
-    One accepted point suffices: the maximal minors of [I | z] are, up to
-    sign, minors of z and 1, so at every such point the matroid is the one
-    whose bases B have m_B not identically zero, and beta is the same.
-    """
-    rng = random.Random(seed)
-    minors = family.all_minors()
-    for _ in range(200):
-        point = {
-            name: Fraction(rng.randint(1, 10**4), rng.randint(1, 10**4))
-            for name in family.param_names
-        }
-        if all(m.eval(point) != 0 for m in minors):
-            return signed_euler_char(family.z_at(point))
-    raise HypothesisError(
-        "could not sample a parameter point off the discriminant; "
-        "the family may lie inside its own discriminant"
-    )

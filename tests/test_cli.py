@@ -312,6 +312,14 @@ class TestExitCodes:
         r = run_cli("beta", str(path))
         assert self.one_error_line(r).startswith(f"error: cannot read {path}: ")
 
+    def test_huge_exponent_cell_is_1(self, tmp_path):
+        # exponent notation is refused before Fraction expands it: the cell
+        # below ran past 30 s when it was expanded
+        path = tmp_path / "exp.yaml"
+        path.write_text('rows: [["1e999999999"]]\n')
+        r = run_cli("beta", str(path), timeout=10)
+        assert self.one_error_line(r) == "error: rows row 0, column 0: bad rational '1e999999999'"
+
     def test_unwritable_output_is_1(self, tmp_path):
         out = tmp_path / "no_such_dir" / "report.txt"
         r = run_cli("beta", str(FIXTURES / "central_matrix.yaml"), "-o", str(out))

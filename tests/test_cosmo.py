@@ -267,8 +267,8 @@ class TestWavefunction:
         assert len(calls) == 1
 
     def test_leaves_no_cyclic_garbage(self):
-        # the recursion's memo, and every subtree numerator in it, is freed
-        # by reference counting once the result is dropped
+        # the tube table, and every tube numerator in it, is freed by
+        # reference counting once the result is dropped
         gc.collect()
         gc.disable()
         try:

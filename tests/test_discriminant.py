@@ -19,7 +19,7 @@ from eulerdisc.graphs import (
     induced,
 )
 from eulerdisc.lattice import edge_config
-from eulerdisc.matroid import generic_euler_char, signed_euler_char
+from eulerdisc.matroid import signed_euler_char
 from eulerdisc import discriminant, matroid
 from eulerdisc.discriminant import (
     DiscriminantReport,
@@ -467,7 +467,8 @@ class TestOneWitnessSuffices:
         rep = euler_disc(fam, seed=0)
         assert divisibility_beta(fam) == rep.chi_star
         # chi* is read at one generic point; every seed's point gives it
-        assert {generic_euler_char(fam, seed=s) for s in range(1, 5)} == {rep.chi_star}
+        assert {euler_disc(fam, seed=s, find_witnesses=False).chi_star
+                for s in range(1, 5)} == {rep.chi_star}
         unknown = []
         for delta, exponent, _, _ in rep.per_factor:
             drop = rep.chi_star - divisibility_beta(fam, delta)
@@ -489,6 +490,13 @@ class TestChiDrop:
         with pytest.raises(ArithmeticError) as err:
             euler_disc(fam, seed=0)
         assert str(err.value) == f"chi drop 0 < 1 for factor {delta} at witness {point}"
+
+    def test_no_point_off_the_basis_raises(self, monkeypatch):
+        # chi* is read only at a point where no basis factor vanishes; when
+        # every sample lands on one, the family is refused
+        monkeypatch.setattr(discriminant, "_avoids_all", lambda *args: False)
+        with pytest.raises(HypothesisError, match="^could not sample a parameter point off the discriminant"):
+            euler_disc(z1_family(), seed=0, find_witnesses=False)
 
     def test_scaling_covariance(self):
         e = pad_sparse(two_site_pattern())
@@ -681,7 +689,7 @@ def path4_family():
 
 class TestDistinctMinors:
     """`all_minors` lists each distinct minor once, in first-occurrence
-    order, and `euler_disc` and `generic_euler_char` use that list as it is."""
+    order, and `euler_disc` uses that list as it is."""
 
     @pytest.mark.parametrize("family", [z1_family, triangle_family, path4_family])
     def test_all_minors_are_distinct(self, family):
@@ -697,6 +705,14 @@ class TestDistinctMinors:
         euler_disc(fam, seed=0)
         assert inputs == [fam.all_minors()]
 
+    def test_one_minor_list_per_call(self, monkeypatch):
+        calls = []
+        listed = ParamFamily.all_minors
+        monkeypatch.setattr(ParamFamily, "all_minors", lambda self: calls.append(self) or listed(self))
+        fam = z1_family()
+        euler_disc(fam, seed=0)
+        assert calls == [fam]
+
     @pytest.mark.parametrize("family", [z1_family, triangle_family])
     def test_repeated_minors_change_nothing(self, family):
         class Repeated(ParamFamily):
@@ -708,7 +724,6 @@ class TestDistinctMinors:
         fam = family()
         repeated = Repeated(fam.k, fam.params, fam.entries)
         assert repeated.all_minors() == [m for m in fam.all_minors() for _ in (0, 1)]
-        assert generic_euler_char(repeated, seed=0) == generic_euler_char(fam, seed=0)
         report = euler_disc(fam, seed=0)
         again = euler_disc(repeated, seed=0)
         assert again.to_dict() == report.to_dict()

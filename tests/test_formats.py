@@ -1,10 +1,13 @@
-"""Tests for family ingestion and its `substitute` block."""
+"""Tests for family ingestion and its `substitute` block, and for matrix
+ingestion."""
+
+from fractions import Fraction
 
 import pytest
 
 import eulerdisc.symcore as symcore
 from eulerdisc.errors import InputError
-from eulerdisc.formats import ingest_family
+from eulerdisc.formats import ingest_family, ingest_matrix
 from eulerdisc.symcore import VarTable, parse
 
 ROWS = [["w1+w2", "1", "0"], ["1", "w2+w3", "w3"]]
@@ -75,3 +78,14 @@ class TestSubstitute:
             tuple(parse(s, fam.params) for s in row)
             for row in [["w1+7", "1", "0"], ["1", "9-w1", "2-w1"]]
         )
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("cell", ["1e5000", "2.5E3"])
+    def test_exponent_notation_is_refused(self, cell):
+        # Fraction would expand the exponent to all its digits
+        with pytest.raises(InputError, match=f"^rows row 0, column 1: bad rational '{cell}'$"):
+            ingest_matrix({"rows": [["1/2", cell]]})
+
+    def test_rationals_are_read(self):
+        assert ingest_matrix({"rows": [[1, "-3/4", "0.25"]]}) == [[1, Fraction(-3, 4), Fraction(1, 4)]]

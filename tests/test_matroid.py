@@ -15,16 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerdisc.errors import HypothesisError, InputError
+from eulerdisc.errors import InputError
 from eulerdisc.kernels import det_adj
 from eulerdisc.matroid import (
     _beta,
     _rref_int,
     beta,
-    generic_euler_char,
     signed_euler_char,
 )
-from eulerdisc.symcore import MultiPoly, VarTable, parse
 from oracles import beta_whitney, exact_rank
 
 
@@ -334,35 +332,3 @@ class TestSignedEulerChar:
         with pytest.raises(InputError, match="at least one row"):
             signed_euler_char([])
         assert signed_euler_char([["1/2", Fraction(1, 2)]]) == 1
-
-
-class _StubFamily:
-    """Minimal family protocol for generic_euler_char."""
-
-    def __init__(self):
-        self.vt = VarTable(["a", "b"])
-        self.param_names = ("a", "b")
-
-    def all_minors(self):
-        return [parse("a", self.vt), parse("b", self.vt), parse("a - b", self.vt)]
-
-    def z_at(self, point):
-        a, b = point["a"], point["b"]
-        return [[a, b], [1, 1], [1, 0]]
-
-
-class TestGenericEulerChar:
-    def test_stub_family_stable(self):
-        # every accepted point gives the same value
-        fam = _StubFamily()
-        assert len({generic_euler_char(fam, seed=s) for s in range(1, 7)}) == 1
-
-    def test_degenerate_family_raises(self):
-        class Bad(_StubFamily):
-            def all_minors(self):
-                return [parse("a - a", self.vt) + 0]  # identically zero
-
-        bad = Bad()
-        bad.all_minors = lambda: [MultiPoly.zero(bad.vt)]
-        with pytest.raises(HypothesisError):
-            generic_euler_char(bad, seed=0)

@@ -265,6 +265,10 @@ class TestCoprimeBasis:
                             break
                         q = r
                 assert q.is_constant
+            # every basis member divides some input
+            canon = [canonical(p)[0] for p in inputs]
+            for b in basis:
+                assert any(try_div(q, b) is not None for q in canon)
 
     def test_splits_difference_of_squares(self):
         basis = coprime_basis([parse("x^2 - y^2", VT), parse("x + y", VT)])
