@@ -14,7 +14,8 @@ _SUBMODULES = {
                      "pad_dense", "pad_sparse", "witness_point"),
     "errors": ("EulerDiscError", "HypothesisError", "InputError", "SizeLimitError"),
     "graphs": ("BipartiteSubgraph", "CosmoGraph", "PatternGraph"),
-    "lattice": ("edge_config", "f_vector", "facets", "normalized_volume", "subdiagram_volume"),
+    "lattice": ("edge_config", "f_vector", "facets", "normalized_volume", "subdiagram_volume",
+                "volume_and_f_vector"),
     "matroid": ("beta", "signed_euler_char"),
 }
 _ORIGIN = {name: module for module, names in _SUBMODULES.items() for name in names}

@@ -188,14 +188,10 @@ def beta_cmd(args):
 @_command("polytope", _OUTPUT)
 def polytope(args):
     """Dimension, normalized volume, and f-vector of an edge polytope."""
-    from .lattice import edge_config, f_vector, normalized_volume
+    from .lattice import edge_config, volume_and_f_vector
 
-    c = edge_config(_load_pattern(args.input))
-    # f_vector gates on dimension and point count before placing anything,
-    # so a refused input costs no volume
-    fv = f_vector(c)
+    vol, fv = volume_and_f_vector(edge_config(_load_pattern(args.input)))
     d = len(fv)
-    vol = normalized_volume(c)
     lines = [f"dimension = {d}", f"volume = {vol}", f"f-vector = {tuple(fv)}"]
     _emit(
         lines,

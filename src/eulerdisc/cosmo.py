@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from .errors import HypothesisError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph, automorphisms, connected_subgraphs, reachable
-from .symcore import FactoredPolynomial, MultiPoly, RationalFunction, VarTable, _mul_into, _pack, _width
+from .symcore import FactoredPolynomial, MultiPoly, RationalFunction, VarTable, _mul_into, _places
 
 # the discriminant pipeline is imported by the functions that build a
 # family or a principal A-determinant, so `cosmo-psi` does not load it
@@ -55,11 +56,85 @@ class LinearForm(NamedTuple):
 
 # A tree the gate admits runs `cosmo-psi` within a budget of 512 MB peak
 # RSS.  Measured CLI peaks (Python 3.11, 2-CPU host), by bound: path6
-# 184,756, 45 MB; spur6 (edges 1-2, 2-3, 3-4, 4-5, 2-6) 1,144,066, 251 MB
-# and 13 s of CPU.  The next 6-vertex tree, spur6b (3-6 for the last
-# edge), bounds 1,961,256 and peaks at 462 MB, too close to the budget to
-# admit; caterpillar6 bounds 8,436,285 and star6 254,186,856.
+# 184,756, 39 MB and 1.1-1.3 s of CPU; spur6 (edges 1-2, 2-3, 3-4, 4-5,
+# 2-6) 1,144,066, 237 MB and 10-13 s.  The next 6-vertex tree, spur6b (3-6
+# for the last edge), bounds 1,961,256 and peaks at 439 MB (21-27 s, run
+# with the gate lifted), too close to the budget to admit; caterpillar6
+# bounds 8,436,285 and star6 254,186,856.
 MAX_PSI_TERMS = 1_200_000
+
+
+class _Tube(NamedTuple):
+    """A tube of a tree, a connected vertex subset."""
+
+    form: Tuple[int, ...]  # the indices of its form's variables, in `energy_vars`
+    # one (side, other side) per edge inside it, as positions in the tube list
+    splits: Tuple[Tuple[int, int], ...]
+
+
+def _tubes(g: CosmoGraph):
+    """The tubes of the tree g, smallest first.  A tube's form is the sum
+    of its X's and of the Y's of the edges that leave it; cutting an edge
+    inside it splits it into two smaller tubes."""
+    n = g.vertex_count
+    vertex_sets = [frozenset(s.vertices) for s in connected_subgraphs(g)]
+    position = {vs: k for k, vs in enumerate(vertex_sets)}
+    tubes = []
+    for vs in vertex_sets:
+        form = sorted(v - 1 for v in vs)
+        form += [n + k for k, (i, j, _) in enumerate(g.edges) if (i in vs) != (j in vs)]
+        inner = [e for e in g.edges if e[0] in vs and e[1] in vs]
+        splits = []
+        for i, _, eid in inner:
+            side = frozenset(reachable(i, [e for e in inner if e[2] != eid]))
+            splits.append((position[side], position[vs - side]))
+        tubes.append(_Tube(tuple(form), tuple(splits)))
+    return tubes
+
+
+def _levels(tubes, keys, leaf, times, level_sum):
+    """Run the recursion over the tube list, keys[k] the key of tube k's
+    form, and return the root's (value, set of the keys of its forms).
+
+    A vertex's value is leaf, over its own form.  Each split of a larger
+    tube has the term times(a, b), a and b its sides' values, over the
+    union of the sides' forms.  The tube's value is level_sum(items), one
+    item (term, the keys of the forms its term lacks) per split, over the
+    union of all the splits' forms and its own.
+    """
+    table = []
+    for tube, key in zip(tubes, keys):
+        if not tube.splits:
+            table.append((leaf, frozenset([key])))
+            continue
+        terms = []
+        for a, b in tube.splits:
+            (value_a, den_a), (value_b, den_b) = table[a], table[b]
+            terms.append((times(value_a, value_b), den_a | den_b))
+        common = frozenset().union(*(den for _, den in terms))
+        table.append((level_sum([(t, common - den) for t, den in terms]), common | {key}))
+    return table[-1]
+
+
+def _degrees(tubes, nv):
+    """Each of the nv variables' degree in the root's numerator: the
+    recursion of `_levels` in max-plus arithmetic, each form keyed by its
+    tube's position.  A term's degree vector sums its sides' and adds one
+    for each form it lacks that holds the variable, and a level takes the
+    largest over its terms.  No coefficient of the recursion is negative,
+    so no term cancels and these degrees are exact."""
+
+    def level(items):
+        top = [0] * nv
+        for degree, missing in items:
+            degree = list(degree)
+            for k in missing:
+                for i in tubes[k].form:
+                    degree[i] += 1
+            top = list(map(max, top, degree))
+        return top
+
+    return _levels(tubes, range(len(tubes)), [0] * nv, lambda a, b: list(map(add, a, b)), level)[0]
 
 
 def wavefunction(g: CosmoGraph) -> RationalFunction:
@@ -90,57 +165,39 @@ def wavefunction(g: CosmoGraph) -> RationalFunction:
             "the recursion is defined for trees only; this graph has a cycle"
         )
     n = g.vertex_count
-    tubes = [frozenset(s.vertices) for s in connected_subgraphs(g)]
+    tubes = _tubes(g)
     bound = math.comb(len(tubes) - 1, 2 * n - 2)
     if bound > MAX_PSI_TERMS:
         raise SizeLimitError(
             f"wavefunction numerator may have {bound} terms (limit {MAX_PSI_TERMS})"
         )
     # The coefficients are built on packed keys (see `symcore._mul_into`),
-    # and the numerator stays packed.  Each numerator built, a tube's or
-    # part of a level's sum, has degree at most T - (2n - 1): a tube on m
-    # vertices with T' tubes inside it has degree T' - (2m - 1), and each
-    # vertex outside it adds at least two tubes.  No exponent exceeds that,
-    # so no field carries.
+    # and the numerator stays packed.  Each variable's radix exceeds its
+    # degree in the root's numerator, and is at least 2 for the forms.
+    # Every numerator, edge term and partial sum built is a factor of a
+    # term of a larger tube's numerator, and so of the root's, with
+    # nonnegative coefficients: no digit carries.
     vt = energy_vars(g)
-    nv = len(vt)
-    w = _width(len(tubes) - (2 * n - 1))
-    units = list(_pack([tuple(int(i == j) for j in range(nv)) for i in range(nv)], w))
-    # A tube form is keyed by the packed key of its variables in reverse
-    # order.  That key fixes the order in which `_level_sum` breaks ties,
-    # and so the work it does.
-    forms = {}
-    # tube -> (numerator, set of the keys of the tube forms it is over)
-    table = {}
-    for tube in tubes:
-        idx = [v - 1 for v in tube]
-        idx += [n + k for k, (i, j, _) in enumerate(g.edges) if (i in tube) != (j in tube)]
-        key = sum(units[nv - 1 - i] for i in idx)
-        forms[key] = dict.fromkeys((units[i] for i in idx), 1)
-        if len(tube) == 1:
-            table[tube] = {0: 1}, frozenset([key])
-            continue
-        # each level clears its edge terms over one common denominator, the
-        # set of its tube forms (the two sides of a split have disjoint
-        # X's); that product is squarefree and the numerator is the adjoint,
-        # so the level is already reduced.  No coefficient is negative, so
-        # no sum is zero.
-        inner = [e for e in g.edges if e[0] in tube and e[1] in tube]
-        terms = []
-        for i, _, eid in inner:
-            side_i = frozenset(reachable(i, [e for e in inner if e[2] != eid]))
-            num_i, den_i = table[side_i]
-            num_j, den_j = table[tube - side_i]
-            if len(num_i) < len(num_j):
-                num_i, num_j = num_j, num_i
-            terms.append((_mul_into({}, num_i, num_j), den_i | den_j))
-        common = frozenset().union(*(den for _, den in terms))
-        num = _level_sum({}, [(tn, common - den) for tn, den in terms], forms)
-        table[tube] = num, common | {key}
-    num, den = table[tubes[-1]]
+    # A tube form is keyed by the mask with bit 8i set for each of its
+    # variables i.  That key fixes the order in which `_level_sum` breaks ties, and,
+    # through the hashes that order its frozensets, the work it does: on
+    # path6, bit i for variable i gives the same text with 1,625,660 pair
+    # updates where this takes 1,624,307.
+    keys = [sum(1 << 8 * i for i in tube.form) for tube in tubes]
+    places = _places([max(d + 1, 2) for d in _degrees(tubes, len(vt))])
+    forms = {key: dict.fromkeys((places[i] for i in tube.form), 1) for tube, key in zip(tubes, keys)}
+
+    def times(a, b):
+        return _mul_into({}, a, b) if len(a) >= len(b) else _mul_into({}, b, a)
+
+    # each level clears its edge terms over one common denominator, the set
+    # of its tube forms (the two sides of a split have disjoint X's); that
+    # product is squarefree and the numerator is the adjoint, so the level
+    # is already reduced.  No coefficient is negative, so no sum is zero.
+    num, den = _levels(tubes, keys, {0: 1}, times, lambda items: _level_sum({}, items, forms))
     return RationalFunction(
-        MultiPoly._from_packed(vt, w, num),
-        FactoredPolynomial((MultiPoly._from_packed(vt, w, forms[p]), 1) for p in den),
+        MultiPoly._from_packed(vt, places, num),
+        FactoredPolynomial((MultiPoly._from_packed(vt, places, forms[p]), 1) for p in den),
     )
 
 

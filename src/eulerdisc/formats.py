@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List
 
 import yaml
 
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 from .graphs import CosmoGraph, PatternGraph
 
 if TYPE_CHECKING:
@@ -122,16 +122,16 @@ def ingest_family(doc: dict) -> ParamFamily:
         for name, expr in sub.items():
             try:
                 images[name] = parse(str(expr), vt)
-            except InputError as exc:
-                raise InputError(f"substitute entry {name!r}: {exc}")
+            except (InputError, SizeLimitError) as exc:
+                raise type(exc)(f"substitute entry {name!r}: {exc}")
     rows = []
     for i, row in enumerate(entries):
         out_row = []
         for j, cell in enumerate(row):
             try:
                 out_row.append(parse(str(cell), vt, images))
-            except InputError as exc:
-                raise InputError(f"entries row {i}, column {j}: {exc}")
+            except (InputError, SizeLimitError) as exc:
+                raise type(exc)(f"entries row {i}, column {j}: {exc}")
         rows.append(out_row)
     return ParamFamily(k, vt, rows)
 

@@ -31,6 +31,7 @@ __all__ = [
     "lattice_normalize",
     "normalized_volume",
     "f_vector",
+    "volume_and_f_vector",
     "facets",
     "subdiagram_volume",
 ]
@@ -246,17 +247,23 @@ def normalized_volume(c: PointConfiguration) -> int:
 # Faces
 
 
+def _hull(c: PointConfiguration):
+    """(normalized volume, facet supports) from one placing, after the
+    face gate (see `facets`)."""
+    d, pts = lattice_normalize(c)
+    _check_desk_scale(d, len(set(pts)))
+    volume, boundary = _placing(pts, d)
+    return volume, sorted(
+        tuple(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(normal, p)) == offset)
+        for normal, offset in dict.fromkeys(side[:2] for side in boundary.values())
+    )
+
+
 def facets(c: PointConfiguration):
     """Facet supports as tuples of point indices, in a deterministic order:
     each holds the points on one supporting hyperplane of the placing's
     boundary."""
-    d, pts = lattice_normalize(c)
-    _check_desk_scale(d, len(set(pts)))
-    _, boundary = _placing(pts, d)
-    return sorted(
-        tuple(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(normal, p)) == offset)
-        for normal, offset in dict.fromkeys(side[:2] for side in boundary.values())
-    )
+    return _hull(c)[1]
 
 
 def _check_desk_scale(d, npts):
@@ -267,7 +274,13 @@ def _check_desk_scale(d, npts):
 
 
 def f_vector(c: PointConfiguration) -> Tuple[int, ...]:
-    """Counts of proper faces by dimension 0..d-1.
+    """Counts of proper faces by dimension 0..d-1."""
+    return volume_and_f_vector(c)[1]
+
+
+def volume_and_f_vector(c: PointConfiguration) -> Tuple[int, Tuple[int, ...]]:
+    """`normalized_volume(c)` and `f_vector(c)` from one placing, after the
+    face gate, so a refused input costs no volume.
 
     Each face is identified by the set of configuration points it
     contains.  Level 0 is the facets, and each next level is the facets
@@ -279,7 +292,8 @@ def f_vector(c: PointConfiguration) -> Tuple[int, ...]:
     proper face of F, so lies in a facet of F (Ziegler, Lectures on
     Polytopes, §2.2).
     """
-    facet_sets = [frozenset(m) for m in facets(c)]
+    volume, supports = _hull(c)
+    facet_sets = [frozenset(m) for m in supports]
     counts = []
     level = set(facet_sets)
     while level:
@@ -293,7 +307,7 @@ def f_vector(c: PointConfiguration) -> Tuple[int, ...]:
                     kept.append(h)
             below.update(kept)
         level = below
-    return tuple(reversed(counts))
+    return volume, tuple(reversed(counts))
 
 
 # ---------------------------------------------------------------------------

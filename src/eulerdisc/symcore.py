@@ -13,12 +13,13 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 
 __all__ = [
     "VarTable",
@@ -46,7 +47,7 @@ class VarTable:
             raise InputError("duplicate variable names in table")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-        self._texts = {}  # key width -> the printer's memos (see `_format`)
+        self._texts = {}  # places -> the memos of key halves (see `_halves`)
 
     def __len__(self):
         return len(self.names)
@@ -74,18 +75,22 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-# The product loop keys each monomial by one int holding a w-byte field per
-# variable, variable 0 in the most significant field, so integer order is
-# lex order.  When every exponent of the product fits in w bytes, the key of
-# a product monomial is the sum of the keys of its factors.
+# The product loop keys each monomial by one int, a mixed-radix number with
+# one digit per variable: the sum of each exponent times its variable's
+# place, variable 0 at the highest place, so integer order is lex order.
+# When every exponent of a product is below its variable's radix, no digit
+# carries, and the key of a product monomial is the sum of the keys of its
+# factors.  `MultiPoly.__mul__` packs a w-byte field per variable: the case
+# of uniform radices 256^w, which `_pack` and `_unpack` convert in C.
 
 
 def _mul_into(out, big, small):
     """Add the product of big and small into out and return out.
 
-    All three map packed keys of one width to coefficients, and that width
-    holds every exponent of the result.  Zero sums stay in out.  The loop
-    over big is the inner one, so big should be the larger operand.
+    All three map keys packed at one tuple of places to coefficients, and
+    the radices hold every exponent of the result.  Zero sums stay in out.
+    The loop over big is the inner one, so big should be the larger
+    operand.
     """
     get = out.get
     for k2, c2 in small.items():
@@ -95,8 +100,18 @@ def _mul_into(out, big, small):
     return out
 
 
+def _places(radices):
+    """The place of each variable's digit in keys with these radices."""
+    places = []
+    p = 1
+    for r in reversed(radices):
+        places.append(p)
+        p *= r
+    return tuple(reversed(places))
+
+
 def _pack(exps, w):
-    """The keys of the exponent tuples exps."""
+    """The keys of the exponent tuples exps, packed in w-byte fields."""
     if w == 1:
         return map(int.from_bytes, map(bytes, exps), repeat("big"))
     return (
@@ -106,7 +121,8 @@ def _pack(exps, w):
 
 
 def _unpack(keys, nv, w):
-    """The exponent tuples, of nv variables each, of the keys."""
+    """The exponent tuples, of nv variables each, of keys packed in w-byte
+    fields."""
     if w == 1:
         return map(tuple, map(int.to_bytes, keys, repeat(nv), repeat("big")))
     n = nv * w
@@ -151,13 +167,14 @@ class MultiPoly:
         return obj
 
     @staticmethod
-    def _from_packed(vars: VarTable, w: int, keys: dict) -> "MultiPoly":
-        """Internal constructor for keys packed at width w (see `_pack`),
-        mapping to nonzero integer coefficients.  The exponent tuples of
-        `.terms` are unpacked on first access; printing reads the keys."""
+    def _from_packed(vars: VarTable, places: tuple, keys: dict) -> "MultiPoly":
+        """Internal constructor for keys packed at the tuple of places of
+        the variables (see `_places`), mapping to nonzero integer
+        coefficients.  The exponent tuples of `.terms` are unpacked on first
+        access; printing reads the keys."""
         obj = _PackedPoly.__new__(_PackedPoly)
         obj.vars = vars
-        obj._packed = (w, keys)
+        obj._packed = (places, keys)
         obj._hash = None
         return obj
 
@@ -332,9 +349,10 @@ class MultiPoly:
     # -- printing -------------------------------------------------------
 
     def _keys(self):
-        """(w, keys): the terms packed at a width w that holds them."""
+        """(places, keys): the terms packed in byte fields that hold them."""
         w = _width(max(chain.from_iterable(self.terms), default=0))
-        return w, dict(zip(_pack(self.terms, w), self.terms.values()))
+        places = _places((256**w,) * len(self.vars))
+        return places, dict(zip(_pack(self.terms, w), self.terms.values()))
 
     def text_chunks(self):
         """The text of `str(self)` as a list of chunks, whose join it is."""
@@ -362,25 +380,47 @@ class _PackedPoly(MultiPoly):
         # reached only for unset slots
         if name != "terms":
             raise AttributeError(name)
-        w, keys = self._packed
-        self.terms = dict(zip(_unpack(keys, len(self.vars), w), keys.values()))
+        places, keys = self._packed
+        high, low, cut = _halves(self.vars, places)
+        self.terms = {high[k // cut][0] + low[k % cut][0]: c for k, c in keys.items()}
         return self.terms
 
 
 class _Powers(dict):
-    """Memo: key packed at width w over names -> the text of its variable
-    powers joined by "*"."""
+    """Memo: a number with one digit per variable of names, at the places
+    given -> (its exponents, their sum, the text of its variable powers
+    joined by "*")."""
 
-    __slots__ = ("names", "w")
+    __slots__ = ("names", "places")
 
-    def __init__(self, names, w):
-        self.names, self.w = names, w
+    def __init__(self, names, places):
+        self.names, self.places = names, places
 
     def __missing__(self, k):
-        names, w = self.names, self.w
-        fields = k.to_bytes(len(names), "big") if w == 1 else next(_unpack([k], len(names), w))
-        text = self[k] = "*".join([n if p == 1 else f"{n}^{p}" for n, p in zip(names, fields) if p])
-        return text
+        exps = []
+        rest = k
+        for p in self.places:
+            exps.append(rest // p)
+            rest %= p
+        text = "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(self.names, exps) if e])
+        memo = self[k] = (tuple(exps), sum(exps), text)
+        return memo
+
+
+def _halves(vars, places):
+    """(high, low, cut): the halves of a key packed at places over the
+    table vars are divmod(key, cut), the digits of the first (nv + 1) // 2
+    variables and those of the rest, and high and low are their memos (see
+    `_Powers`).  The memos live on the table, one pair per tuple of places.
+    """
+    memos = vars._texts.get(places)
+    if memos is None:
+        names = vars.names
+        split = (len(names) + 1) // 2
+        cut = places[split - 1] if split else 1
+        high = _Powers(names[:split], [p // cut for p in places[:split]])
+        memos = vars._texts[places] = (high, _Powers(names[split:], places[split:]), cut)
+    return memos
 
 
 class _Coefficients(dict):
@@ -400,32 +440,29 @@ class _Coefficients(dict):
 _CHUNK_TERMS = 4096
 
 
-def _format(vars, w, keys):
-    """The text of the polynomial whose terms are keys, packed at width w
+def _format(vars, places, keys):
+    """The text of the polynomial whose terms are keys, packed at places
     over the table vars, mapped to nonzero coefficients: graded lex order,
     highest first, each term its coefficient (dropped when 1) and its
     variable powers joined by "*".  It comes as a list of chunks, each the
     text of up to _CHUNK_TERMS terms, so that a caller can write a large
     polynomial without ever holding its text as one string.
 
-    A key's text joins the memoized texts of its high and low halves.  A
-    dense polynomial has far fewer distinct halves than terms (path6's
-    159,328 terms have 6,782 and 1,623), and in lex order keys that share
-    their high half are adjacent.  The memos live on the table, so the
-    small polynomials of one table, printed again and again, mostly find
-    their halves' texts there.  No per-term string is built: the pieces
-    of a chunk are joined once, so the printer stays linear under a
-    profile hook.
+    A key's text joins the memoized texts of its high and low halves (see
+    `_halves`), and its degree sums theirs.  A dense polynomial has far
+    fewer distinct halves than terms (path6's 159,328 terms have 6,782 and
+    1,623), and in lex order keys that share their high half are adjacent.
+    The memos live on the table, so the small polynomials of one table,
+    printed again and again, mostly find their halves there.  No per-term
+    string is built and no function is called per term: the pieces of a
+    chunk are joined once, so the printer stays linear under a profile
+    hook.
     """
     if not keys:
         return ["0"]
-    names = vars.names
-    nv = len(names)
+    high, low, cut = _halves(vars, places)
     order = sorted(keys, reverse=True)
-    if w == 1:
-        degrees = list(map(sum, map(int.to_bytes, order, repeat(nv), repeat("big"))))
-    else:
-        degrees = list(map(sum, _unpack(order, nv, w)))
+    degrees = [high[k // cut][1] + low[k % cut][1] for k in order]
     if min(degrees) != max(degrees):
         # stable, so lex order holds within a degree
         order = [k for _, k in sorted(zip(degrees, order), key=itemgetter(0), reverse=True)]
@@ -433,18 +470,11 @@ def _format(vars, w, keys):
     chunks = []
     const = keys[order.pop()] if order[-1] == 0 else 0
     if order:
-        split = (nv + 1) // 2
-        memos = vars._texts.get(w)
-        if memos is None:
-            memos = vars._texts[w] = (_Powers(names[:split], w), _Powers(names[split:], w))
-        high, low = memos
-        shift = 8 * w * (nv - split)
-        mask = (1 << shift) - 1
         coefficient = _Coefficients({1: " + ", -1: " - "})
         for start in range(0, len(order), _CHUNK_TERMS):
             out = []
             for k in order[start : start + _CHUNK_TERMS]:
-                h, lo = high[k >> shift], low[k & mask]
+                h, lo = high[k // cut][2], low[k % cut][2]
                 out += (coefficient[keys[k]], h, "*", lo) if h and lo else (coefficient[keys[k]], h or lo)
             if not start:
                 out[0] = ("-" if out[0][1] == "-" else "") + out[0][3:]
@@ -458,6 +488,39 @@ def _format(vars, w, keys):
 # Parser
 
 
+def _past_digit_limit(c: int) -> bool:
+    """Whether |c| has more decimal digits than `sys.get_int_max_str_digits()`
+    lets an int be read or printed with (never, when that limit is 0).
+    Below 2^(3 limit) the answer is no without a power of ten."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and c.bit_length() > 3 * limit and abs(c) >= 10**limit
+
+
+def _check_coefficients(p):
+    """Refuse p when a coefficient is past the digit limit."""
+    for c in p.terms.values():
+        if _past_digit_limit(c):
+            raise SizeLimitError(
+                f"coefficient of more than {sys.get_int_max_str_digits()} digits"
+            )
+
+
+def _check_power(base, n):
+    """Refuse base^n when its coefficient bound (sum of |c|)^n is past the
+    digit limit, before the power is computed: estimated by logarithms,
+    and computed only within a digit of the limit."""
+    limit = sys.get_int_max_str_digits()
+    s = sum(map(abs, base.terms.values()))
+    if not limit or s < 2:
+        return
+    # s^n >= 2^n, past the limit once n > 4 limit
+    digits = n * math.log10(s) if n <= 4 * limit else math.inf
+    if digits > limit + 1 or digits > limit - 1 and _past_digit_limit(s**n):
+        raise SizeLimitError(
+            f"power may have coefficients of more than {limit} digits"
+        )
+
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()]))")
 
 
@@ -469,7 +532,11 @@ def _tokenize(text):
         if m is None or m.end() == pos and not text[pos:].strip():
             break
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            digits = m.group(1)
+            limit = sys.get_int_max_str_digits()
+            if limit and len(digits) > limit:
+                raise SizeLimitError(f"integer literal of {len(digits)} digits (limit {limit})")
+            tokens.append(("int", int(digits), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         elif m.group(3) is not None:
@@ -527,6 +594,9 @@ class _Parser:
             if kind == "op" and val == "*":
                 self.next()
                 result = result * self.parse_factor()
+                # a chain of products grows its coefficients' digits by
+                # the sum of its factors'
+                _check_coefficients(result)
             else:
                 return result
 
@@ -538,6 +608,7 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "int":
                 raise InputError("exponent must be a non-negative integer literal", pos)
+            _check_power(base, val)
             return base**val
         return base
 
@@ -565,12 +636,18 @@ def parse(text: str, vars: VarTable,
     """Parse an expression built from +, -, *, ^, parentheses and integers.
 
     A name in images stands for its image, a polynomial over vars, so an
-    eliminated variable is substituted as the text is read."""
+    eliminated variable is substituted as the text is read.
+
+    Raises SizeLimitError for an integer that Python could not read or
+    print (see `sys.get_int_max_str_digits`): a literal with more digits,
+    a power whose coefficients may have more, before it is computed, and
+    a result with a coefficient that has more."""
     p = _Parser(text, vars, images)
     result = p.parse_expr()
     kind, _, pos = p.peek()
     if kind != "end":
         raise InputError("trailing input", pos)
+    _check_coefficients(result)
     return result
 
 

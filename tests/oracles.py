@@ -3,6 +3,7 @@ library does not need itself."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import getitem
 
 from eulerdisc.lattice import facets
 from eulerdisc.symcore import FactoredPolynomial, MultiPoly, minors, try_div
@@ -74,23 +75,23 @@ def poly_str(p):
     variable powers joined by "*"."""
     if not p.terms:
         return "0"
+    # lex order, then a stable sort by degree
+    order = sorted(p.terms, reverse=True)
+    order.sort(key=sum, reverse=True)
+    # for each variable, the text of each power of it that occurs
+    powers = [
+        {k: "" if k == 0 else name if k == 1 else f"{name}^{k}" for k in set(column)}
+        for name, column in zip(p.vars.names, zip(*order))
+    ]
     parts = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+    for e in order:
         c = p.terms[e]
-        factors = []
-        for name, k in zip(p.vars.names, e):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        if not factors or abs(c) != 1:
-            factors.insert(0, str(abs(c)))
-        parts.append((c < 0, "*".join(factors)))
-    neg, text = parts[0]
-    out = ("-" if neg else "") + text
-    for neg, text in parts[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+        text = "*".join(filter(None, map(getitem, powers, e)))
+        if abs(c) != 1 or not text:
+            text = f"{abs(c)}*{text}" if text else str(abs(c))
+        parts += (" - " if c < 0 else " + ", text)
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 def eval_fraction(p, values):

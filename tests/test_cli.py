@@ -50,6 +50,24 @@ class TestReports:
         exps = sorted((f["exponent"] for f in data["factors"]), reverse=True)
         assert exps == [3, 3, 3, 3, 2, 2, 2, 2, 2, 1, 1]
 
+    def test_polytope_places_once(self, monkeypatch, capsys):
+        # the 3-site chain's volume and f-vector come from one placing, in
+        # dimension 8, and the report is the recorded one
+        import eulerdisc.lattice as lattice
+
+        calls = []
+        placing = lattice._placing
+
+        def counting(pts, d):
+            calls.append(d)
+            return placing(pts, d)
+
+        monkeypatch.setattr(lattice, "_placing", counting)
+        main(["polytope", str(FIXTURES / "three_site_graph.yaml")])
+        assert calls == [8]
+        record = FIXTURES / "reports" / "polytope_three_site_graph.txt"
+        assert capsys.readouterr().out == record.read_text()
+
     def test_polytope_two_site(self):
         r = run_cli("polytope", str(FIXTURES / "two_site_pattern.yaml"))
         assert r.returncode == 0
@@ -377,6 +395,28 @@ class TestExitCodes:
     def test_size_limit_is_3(self):
         r = run_cli("cosmo-psi", str(FIXTURES / "big_tree.yaml"))
         assert r.returncode == 3
+
+    @pytest.mark.parametrize("entry, message", [
+        ("w + 10^5000", "power may have coefficients of more than 4300 digits"),
+        ("w + 1" + "0" * 5000, "integer literal of 5001 digits (limit 4300)"),
+        ("w + 10^3000 * 10^3000", "coefficient of more than 4300 digits"),
+    ], ids=["power", "literal", "product"])
+    def test_int_past_digit_limit_is_3(self, entry, message, tmp_path):
+        # Python reads and prints an int of at most 4300 digits by default;
+        # an entry past that exits 3 as it is parsed, not with a traceback
+        # from `int()` or from printing
+        family = tmp_path / "family.yaml"
+        family.write_text(f'k: 0\nparams: [w]\nentries: [["{entry}"]]\n')
+        r = subprocess.run(
+            [sys.executable, "-m", "eulerdisc.cli", "euler-disc", str(family)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(ENV, PYTHONINTMAXSTRDIGITS="4300"),
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stdout == ""
+        assert r.stderr == f"size limit: entries row 0, column 0: {message}\n"
 
     def test_star6_is_3_under_memory_limit(self, tmp_path):
         # star6's numerator would need gigabytes: under a 3 GB address-space

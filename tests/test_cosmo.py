@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -254,7 +255,7 @@ class TestWavefunction:
             assert psi_at(psi, point) == psi_value(g, point)
 
     def test_enumerates_the_tubes_once(self, monkeypatch):
-        # one list of tubes gives the gate, the key width, every tube form
+        # one list of tubes gives the gate, the radices, every tube form
         # and the order in which the coefficients are built
         calls = []
 
@@ -383,8 +384,10 @@ class TestFacetForms:
         # the gate admits every tree on up to 5 vertices and, of the
         # 6-vertex trees, the 360 paths and the 360 spur6 shapes (a vertex
         # of degree 3 with two leaf neighbours); each numerator is
-        # homogeneous of degree T - (2n - 1), which the width derived from
-        # T holds
+        # homogeneous of degree T - (2n - 1).  It is packed with one radix
+        # per variable, one more than the degree pass gives for it and at
+        # least 2: that pass equals the numerator's largest exponent in each
+        # variable, so every exponent is below its radix
         admitted6 = [g for g in all_trees(6) if term_bound(g) <= MAX_PSI_TERMS]
         assert len(admitted6) == 720
         shapes = Counter()
@@ -401,7 +404,17 @@ class TestFacetForms:
             n = g.vertex_count
             degree = len(connected_subgraphs(g)) - (2 * n - 1)
             assert {sum(e) for e in psi.num.terms} == {degree}
-            assert degree < 256 ** psi.num._keys()[0]
+            top = cosmo._degrees(cosmo._tubes(g), len(psi.num.vars))
+            assert top == list(map(max, zip(*psi.num.terms)))
+            radices = [max(d + 1, 2) for d in top]
+            places, keys = psi.num._keys()
+            assert places == symcore._places(radices)
+            assert all(x < r for e in psi.num.terms for x, r in zip(e, radices))
+        # path6's radices multiply to under 2^30, so each key is one digit
+        # of a CPython int
+        assert g.edges == path6().edges
+        assert math.prod(radices) < 2**30
+        assert max(keys) < 2**30
 
     def test_size_limits(self):
         path9 = CosmoGraph.from_pairs(9, [(v, v + 1) for v in range(1, 9)])

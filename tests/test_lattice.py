@@ -25,6 +25,7 @@ from eulerdisc.lattice import (
     lattice_normalize,
     normalized_volume,
     subdiagram_volume,
+    volume_and_f_vector,
     _insert,
     _solve_lattice,
 )
@@ -460,12 +461,15 @@ class TestOracles:
                 facets(c)
             with pytest.raises(SizeLimitError):
                 f_vector(c)
+            with pytest.raises(SizeLimitError):
+                volume_and_f_vector(c)
             return
         fs = facets(c)
         for members in fs:
             diffs = [[a - b for a, b in zip(pts[i], pts[members[0]])] for i in members]
             assert exact_rank(diffs) == d - 1
         fv = f_vector(c)
+        assert volume_and_f_vector(c) == (normalized_volume(c), fv)
         assert fv[d - 1] == len(fs)
         assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
         # reversed coordinates sort the points differently, so the placing

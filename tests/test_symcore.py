@@ -6,6 +6,7 @@ construct-then-check for gcd).
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, permutations
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulerdisc.symcore as symcore
-from eulerdisc.errors import InputError
+from eulerdisc.errors import InputError, SizeLimitError
 from eulerdisc.kernels import det_adj
 from eulerdisc.symcore import (
     FactoredPolynomial,
@@ -25,6 +26,7 @@ from eulerdisc.symcore import (
     _basis_key,
     _mul_into,
     _pack,
+    _places,
     _unpack,
     _width,
     canonical,
@@ -172,6 +174,39 @@ class TestParsePrint:
         except InputError as exc:
             err = exc
         assert err is not None and err.position is not None
+
+
+class TestDigitLimit:
+    """An int past `sys.get_int_max_str_digits()` digits, which Python could
+    neither read nor print, is refused as the text is parsed."""
+
+    @pytest.fixture(autouse=True)
+    def limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def test_literal(self):
+        assert str(parse("9" * 4300, VT)) == "9" * 4300
+        with pytest.raises(SizeLimitError, match="literal of 4301 digits"):
+            parse("x + " + "9" * 4301, VT)
+
+    def test_power_bound(self):
+        # 2^14284 has 4300 digits and 2^14285 has 4301; (x + 1)^n has the
+        # bound 2^n, refused before any product
+        assert len(str(parse("2^14284", VT))) == 4300
+        for text in ("2^14285", "(x + 1)^14285", "(x - y)^" + "9" * 4000, "(10^3000)^2"):
+            with pytest.raises(SizeLimitError, match="power may have coefficients"):
+                parse(text, VT)
+        # a single term with coefficient 1 or -1 has no coefficient growth
+        assert str(parse("(-x)^100001", VT)) == "-x^100001"
+
+    def test_products_and_sums(self):
+        assert str(parse("10^2000 * 10^2000", VT)) == "1" + "0" * 4000
+        for text in ("10^3000 * 10^3000", "x*10^3000 * 10^3000*y", "9" * 4300 + " + " + "9" * 4300):
+            with pytest.raises(SizeLimitError, match="coefficient of more than 4300 digits"):
+                parse(text, VT)
 
 
 class TestDivision:
@@ -636,11 +671,29 @@ class TestPrintOracle:
         # halves, so either half comes out empty, a single field or full
         assert str(p) == poly_str(p)
         assert str(-p) == poly_str(-p)
-        # the same terms packed at a width that holds them, or wider
+        # the same terms packed in byte fields of a width that holds them,
+        # or wider
         w = _width(max(chain.from_iterable(p.terms), default=0)) + extra
-        twin = MultiPoly._from_packed(p.vars, w, dict(zip(_pack(p.terms, w), p.terms.values())))
+        places = _places((256**w,) * len(p.vars))
+        twin = MultiPoly._from_packed(p.vars, places, dict(zip(_pack(p.terms, w), p.terms.values())))
         assert str(twin) == str(p)
         assert twin.terms == p.terms and twin == p
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=wide_polys(), data=st.data())
+    def test_mixed_radix_twin(self, p, data):
+        # the same terms packed with one radix per variable, each at least
+        # 2 and above the variable's largest exponent: the text and the
+        # unpacked terms are the same
+        tops = [max(x) for x in zip(*p.terms)] if p.terms else [0] * len(p.vars)
+        radices = [data.draw(st.integers(max(t + 1, 2), t + 4)) for t in tops]
+        places = _places(radices)
+        assert all(a == b * r for a, b, r in zip(places, places[1:], radices[1:]))
+        assert places[-1:] in ((), (1,))
+        keys = {sum(x * q for x, q in zip(e, places)): c for e, c in p.terms.items()}
+        twin = MultiPoly._from_packed(p.vars, places, keys)
+        assert str(twin) == str(p) == poly_str(p)
+        assert twin.terms == p.terms
 
     def test_high_or_low_part_empty(self):
         vt = VarTable([f"v{i}" for i in range(12)])
@@ -655,7 +708,7 @@ class TestPrintOracle:
     def test_packed_terms_on_first_access(self):
         vt = VarTable(["a", "b"])
         keys = dict(zip(_pack([(2, 0), (0, 1)], 1), [3, -1]))
-        p = MultiPoly._from_packed(vt, 1, keys)
+        p = MultiPoly._from_packed(vt, (256, 1), keys)
         with pytest.raises(AttributeError):
             object.__getattribute__(p, "terms")
         assert str(p) == "3*a^2 - b"
